@@ -5,17 +5,24 @@ Standalone script (not a pytest bench) emitting machine-readable
 each batch width N it times the full per-request path both ways —
 
 * **loop**: N independent ``Session.run`` calls (``backend="compiled"``,
-  seeds ``seed .. seed+N-1``), each paying the schedule build, plan
-  lookup and per-unit dispatch alone, exactly like N service jobs
-  running back to back;
+  seeds ``seed .. seed+N-1``), each paying its own plan-cache lookup,
+  grid set-up and per-unit dispatch, exactly like N service jobs
+  running back to back (the schedule is built once per configuration,
+  not once per call: every call after the first is a cache hit);
 * **batched**: one ``Session.run_many`` call (``backend="batched"``,
-  ``batch=N``) that builds the schedule once and runs every plan unit
-  over the ``[N, ...]`` stack in a single kernel dispatch.
+  ``batch=N``) that runs every plan unit over the ``[N, ...]`` stack in
+  a single kernel dispatch.
 
-Results must be bit-identical per instance; the headline number is the
-aggregate instances/sec ratio (``speedup``), plus ``speedup_vs_n1`` —
-the batched throughput at this N against the same workload's N=1 loop
-row, the acceptance metric (>= 5x at N=32 on the fig8-class workload).
+The two sides alternate inside every repeat and each reports the
+median of its repeats, so a shift in machine speed lands on both sides
+of the ratio.  Results must be bit-identical per instance; the headline
+number is the aggregate instances/sec ratio (``speedup``), plus
+``speedup_vs_n1`` — the batched throughput at this N against the same
+workload's N=1 loop row.  The loop builds each configuration once, so
+the ratio is what batching itself buys: on the committed baseline 1.7x
+at N=8 and 1.8x at N=32 on the fig8-class workload, 3.7x for Life at
+N=32, and 1.0-1.3x for Heat-2D 96x96, whose per-instance kernels are
+already large.
 
 Modes mirror ``bench_engine.py``: default (full) runs the fig8-class
 (Heat-1D 4000 points) and fig10-class (Heat-2D 96x96) serving sizes at
@@ -42,7 +49,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "src")
@@ -53,6 +59,7 @@ import numpy as np
 
 from repro import get_stencil
 from repro.api import RunConfig, Session
+from repro.perf.wallclock import interleaved_medians
 
 SCHEMA = "bench-batch/1"
 
@@ -82,19 +89,6 @@ def env_fingerprint():
     }
 
 
-def _min_of_k(run, repeat, warmup):
-    for _ in range(warmup):
-        run()
-    best, out = float("inf"), None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        got = run()
-        dt = time.perf_counter() - t0
-        if dt < best:
-            best, out = dt, got
-    return best, out
-
-
 def bench_workload(name, kernel, shape, steps, b, n, repeat, warmup):
     session = Session(get_stencil(kernel))
     base = RunConfig(shape=shape, steps=steps, b=b, seed=0,
@@ -112,8 +106,8 @@ def bench_workload(name, kernel, shape, steps, b, n, repeat, warmup):
         return [np.array(r.interior, copy=True)
                 for r in session.run_many(batch_cfg)]
 
-    loop_s, loop_out = _min_of_k(loop_run, repeat, warmup)
-    batch_s, batch_out = _min_of_k(batch_run, repeat, warmup)
+    (loop_s, loop_out), (batch_s, batch_out) = interleaved_medians(
+        (loop_run, batch_run), repeat, warmup)
     identical = all(
         np.array_equal(a, c) and a.tobytes() == c.tobytes()
         for a, c in zip(loop_out, batch_out)
@@ -192,13 +186,13 @@ def main(argv=None):
     ap.add_argument("--out", default="BENCH_batch.json",
                     help="output JSON path (default: %(default)s)")
     ap.add_argument("--repeat", type=int, default=None,
-                    help="min-of-k repeats (default: 3, quick: 2)")
+                    help="median-of-k repeats (default: 5)")
     ap.add_argument("--check", metavar="BASELINE",
                     help="compare speedups against a baseline JSON")
     ap.add_argument("--tolerance", type=float, default=0.25,
                     help="allowed speedup regression (default: 0.25)")
     args = ap.parse_args(argv)
-    repeat = args.repeat or (2 if args.quick else 3)
+    repeat = args.repeat or 5
 
     rows = []
     for name, kernel, shape, steps, b, ns, quick in WORKLOADS:

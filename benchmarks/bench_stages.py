@@ -20,7 +20,8 @@ on identical initial state and verifies all three land bit-identical:
 
 A final ``mode="batched"`` row times N independent compiled runs
 against one ``run_many`` batch of the same N instances (the staged
-many-instances aggregate).
+many-instances aggregate), alternating the two inside every repeat
+and reporting the median of each.
 
 ``--check BASELINE.json`` compares the *speedup* of every row whose
 key also appears in the baseline and exits 1 if any regressed by more
@@ -54,6 +55,7 @@ from repro.api import RunConfig, Session
 from repro.core.schedules import tess_schedule
 from repro.engine import PlanCache
 from repro.engine.plan import _execute_plan
+from repro.perf.wallclock import interleaved_medians
 from repro.runtime.schedule import _execute_schedule
 from repro.stencils.reference import reference_step
 from repro.stencils.systems import get_system
@@ -200,8 +202,8 @@ def bench_batch_workload(name, system, shape, steps, b, n, repeat, warmup):
         return [np.array(r.interior, copy=True)
                 for r in session.run_many(batch_cfg)]
 
-    loop_s, loop_out = _min_of_k(loop_run, repeat, warmup)
-    batch_s, batch_out = _min_of_k(batch_run, repeat, warmup)
+    (loop_s, loop_out), (batch_s, batch_out) = interleaved_medians(
+        (loop_run, batch_run), repeat, warmup)
     identical = all(
         a.tobytes() == c.tobytes() for a, c in zip(loop_out, batch_out)
     )

@@ -46,7 +46,7 @@ from repro.api import (
     run,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "Grid",

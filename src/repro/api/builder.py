@@ -18,11 +18,21 @@ from typing import Optional, Tuple
 from repro.api.config import RunConfig
 from repro.stencils.spec import StencilSpec
 
-__all__ = ["BuiltSchedule", "ScheduleBuilder", "SCHEMES"]
+__all__ = ["BuiltSchedule", "ScheduleBuilder", "SCHEMES",
+           "SCHEDULE_NAMES"]
 
 #: schemes the builder can construct (mirrors the CLI choices)
 SCHEMES = ["naive", "spatial", "tess", "tess-unmerged", "diamond",
            "pochoir", "mwd", "skewed", "hexagonal", "overlapped"]
+
+#: configuration scheme name -> the ``RegionSchedule.scheme`` its build
+#: carries (the plan-cache key holds the latter)
+SCHEDULE_NAMES = {
+    "tess": "tessellation-merged",
+    "tess-unmerged": "tessellation",
+    "pochoir": "cache-oblivious+ws",
+    "skewed": "time-skewed",
+}
 
 
 @dataclass
@@ -52,6 +62,21 @@ class ScheduleBuilder:
             uncut_dims=config.uncut_dims,
         )
 
+    def plan_key(self, spec: StencilSpec, config: RunConfig,
+                 shape: Tuple[int, ...]) -> Tuple:
+        """The plan-cache key of what :meth:`build` would return.
+
+        Derived from the configuration alone, without building: equal
+        to :func:`repro.engine.cache.plan_key` of the built schedule
+        with the default lowering options.  A builder that builds
+        differently from this one must key differently too.
+        """
+        from repro.engine.cache import make_key
+
+        scheme = SCHEDULE_NAMES.get(config.scheme, config.scheme)
+        return make_key(spec, tuple(int(n) for n in shape), config.steps,
+                        scheme, config.tile_params())
+
     def build(self, spec: StencilSpec, config: RunConfig,
               shape: Optional[Tuple[int, ...]] = None) -> BuiltSchedule:
         """Construct the schedule (+ lattice) for one configuration.
@@ -78,11 +103,17 @@ class ScheduleBuilder:
         shape = tuple(int(n) for n in shape)
 
         lattice = None
+        if scheme not in SCHEMES:
+            raise ValueError(
+                f"unknown scheme {scheme!r}; expected one of {SCHEMES}"
+            )
         if any(n == 0 for n in shape):
             # empty interior: every scheme degenerates to an empty
             # schedule (the lattice builders cannot even represent a
             # 0-cell axis)
-            sched = RegionSchedule(scheme=scheme, shape=shape, steps=steps)
+            sched = RegionSchedule(
+                scheme=SCHEDULE_NAMES.get(scheme, scheme), shape=shape,
+                steps=steps)
         elif scheme == "naive":
             sched = naive_schedule(spec, shape, steps, chunks=8)
         elif scheme == "spatial":
@@ -105,14 +136,10 @@ class ScheduleBuilder:
         elif scheme == "hexagonal":
             sched = hexagonal_schedule(spec, shape, b, steps,
                                        hex_width=max(b, 2))
-        elif scheme == "overlapped":
+        else:  # overlapped
             tile = config.tile or tuple(max(4, n // 8) for n in shape)
             sched = overlapped_schedule(spec, shape, steps, tile,
                                         max(1, b // 2))
-        else:
-            raise ValueError(
-                f"unknown scheme {scheme!r}; expected one of {SCHEMES}"
-            )
 
         if config.mutations:
             from repro.runtime.mutations import apply_mutation

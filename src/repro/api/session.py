@@ -21,6 +21,13 @@ builder and exposes the pipeline at three levels:
 Module-level :func:`run` / :func:`execute` are one-shot conveniences
 that create a throwaway session.
 
+Build once per configuration: a run that lowers to a compiled plan
+first looks its configuration up in the plan cache
+(:meth:`ScheduleBuilder.plan_key`, :meth:`PlanCache.lookup`).  A hit
+supplies the schedule, plan, lattice and schedule stats that the run
+which filled the entry built; nothing is rebuilt.  A miss builds and
+lowers, and the lowering records the stats for the next run.
+
 Stats discipline: the compiled plan for one run is obtained **once**,
 before execution, through the session's plan cache.  Retries and
 restarts inside the resilient backend replay the already-compiled
@@ -46,6 +53,8 @@ from repro.api.backends import (
 from repro.api.builder import BuiltSchedule, ScheduleBuilder
 from repro.api.config import RunConfig
 from repro.api.stats import RunResult, RunStats, cache_delta
+from repro.engine.cache import CacheStats
+from repro.runtime.schedule import schedule_stats
 from repro.stencils.grid import Grid
 from repro.stencils.spec import StencilSpec
 
@@ -229,10 +238,30 @@ class Session:
             # deadline; each fallback hop re-enters and re-arms
             budget = RunBudget.from_policy(config.qos)
 
-        # build ---------------------------------------------------------
+        # build, or find the whole build in the plan cache --------------
+        engine = self._resolve_engine(config, backend)
         need_schedule = backend.kind == "schedule" and schedule is None \
             and plan is None
         need_lattice = backend.kind == "lattice" and lattice is None
+        sched_stats = delta = None
+        by_config = (need_schedule and engine == "compiled"
+                     and params is None)
+        if by_config:
+            # a compiled run's schedule, plan and stats are a pure
+            # function of the configuration: look them up before
+            # building anything
+            t0 = time.perf_counter()
+            batched = backend.name == "batched"
+            entry = self.cache.lookup(
+                self.builder.plan_key(spec, config, shape), batched=batched)
+            if entry is not None:
+                plan, lattice = entry.plan, entry.lattice
+                schedule = plan.schedule
+                sched_stats = dict(entry.schedule_stats)
+                delta = CacheStats(hits=1, batched_hits=int(batched))
+                need_schedule = False
+                phases["build"] = time.perf_counter() - t0
+                phases["lower"] = 0.0  # the plan came with the lookup
         if need_schedule or need_lattice:
             t0 = time.perf_counter()
             if need_schedule:
@@ -272,15 +301,18 @@ class Session:
             sanitizer_report.raise_if_violations()
 
         # lower ---------------------------------------------------------
-        engine = self._resolve_engine(config, backend)
-        delta = None
         if engine == "compiled" and plan is None:
+            if by_config:
+                # describe the entry so the next run with this config
+                # finds the whole build through lookup()
+                sched_stats = schedule_stats(schedule)
             t0 = time.perf_counter()
             before = self.cache.stats.as_dict()
-            plan = self.lower(schedule,
-                              params if params is not None
-                              else config.tile_params(),
-                              batched=backend.name == "batched")
+            plan = self.cache.get(
+                spec, schedule,
+                params if params is not None else config.tile_params(),
+                batched=backend.name == "batched",
+                lattice=lattice, schedule_stats=sched_stats)
             delta = cache_delta(before, self.cache.stats.as_dict())
             phases["lower"] = time.perf_counter() - t0
         if plan is not None and backend.name in _POOLED_BACKENDS:
@@ -321,7 +353,9 @@ class Session:
             verified = self._verify(snapshot, outcome.interior, config.steps)
             phases["verify"] = time.perf_counter() - t0
 
-        stats = self._assemble_stats(config, backend, engine, schedule,
+        if sched_stats is None and schedule is not None:
+            sched_stats = schedule_stats(schedule)
+        stats = self._assemble_stats(config, backend, engine, sched_stats,
                                      phases, trace, outcome, delta,
                                      plan, verified)
         stats.stages = stage_seconds
@@ -341,13 +375,16 @@ class Session:
                 steps: int) -> bool:
         from repro.stencils.reference import reference_sweep
 
+        # bitwise, for every dtype: each backend promises bit-identity
+        # with the sweep, so one flipped ulp is a failed run
         ref = reference_sweep(self.spec, snapshot, steps)
-        if np.issubdtype(self.spec.dtype, np.integer):
-            return bool(np.array_equal(ref, interior))
-        return bool(np.allclose(ref, interior, rtol=1e-11, atol=1e-12))
+        return (ref.dtype == interior.dtype
+                and ref.shape == interior.shape
+                and ref.tobytes() == interior.tobytes())
 
-    def _assemble_stats(self, config, backend, engine, schedule, phases,
-                        trace, outcome, delta, plan, verified) -> RunStats:
+    def _assemble_stats(self, config, backend, engine, sched_stats,
+                        phases, trace, outcome, delta, plan,
+                        verified) -> RunStats:
         stats = RunStats(
             backend=backend.name,
             scheme=config.scheme,
@@ -361,10 +398,8 @@ class Session:
             cache=delta,
             verified=verified,
         )
-        if schedule is not None:
-            from repro.runtime.schedule import schedule_stats
-
-            stats.schedule = schedule_stats(schedule)
+        if sched_stats is not None:
+            stats.schedule = sched_stats
         if outcome.comm is not None:
             # rank-side compiles are the authoritative tally: the local
             # cache never saw these plans

@@ -13,6 +13,12 @@ Two tiers:
 * an in-memory LRU (:class:`PlanCache`), always on, with
   :class:`CacheStats` counters (``hits``/``misses``/``evictions``) that
   tests and the autotuner assert on;
+* a config-keyed fast path (:meth:`PlanCache.lookup`): the key is a
+  pure function of the run configuration
+  (:meth:`repro.api.builder.ScheduleBuilder.plan_key`), so a warm
+  :class:`~repro.api.session.Session` run finds its plan, the
+  schedule inside it, the lattice and the schedule summary without
+  building anything.  Both paths share one LRU and one key space;
 * an optional on-disk pickle tier (``disk_dir=``) so plans survive
   process restarts — useful for repeated benchmark invocations.  Disk
   entries are keyed by a SHA-256 of the in-memory key and validated by
@@ -28,9 +34,9 @@ import hashlib
 import os
 import pickle
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from threading import Lock
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.engine.plan import CompiledPlan, compile_plan
 from repro.runtime.schedule import RegionSchedule
@@ -39,10 +45,12 @@ from repro.stencils.spec import StencilSpec
 from repro.stencils.staged import canonical_spec
 
 __all__ = [
+    "CacheEntry",
     "CacheStats",
     "PlanCache",
     "default_cache",
     "get_plan",
+    "make_key",
     "plan_key",
     "spec_signature",
 ]
@@ -90,11 +98,24 @@ def plan_key(
     parameters pass them so distinct tilings of the same scheme name
     never collide.
     """
+    return make_key(spec, schedule.shape, schedule.steps, schedule.scheme,
+                    params, batch_threshold, fuse)
+
+
+def make_key(spec: StencilSpec, shape, steps: int, scheme: str,
+             params: Tuple = (), batch_threshold: int = 4096,
+             fuse: bool = True) -> Tuple:
+    """The key :func:`plan_key` gives a schedule with these fields.
+
+    ``scheme`` is the *schedule's* scheme name (``tessellation-merged``),
+    not the configuration's (``tess``), so a key derived from a
+    configuration before building matches the key of the built schedule.
+    """
     return (
         spec_signature(spec),
-        tuple(schedule.shape),
-        schedule.steps,
-        schedule.scheme,
+        tuple(shape),
+        int(steps),
+        scheme,
         tuple(params),
         batch_threshold,
         bool(fuse),
@@ -143,6 +164,24 @@ class CacheStats:
         }
 
 
+@dataclass(frozen=True)
+class CacheEntry:
+    """One cache slot: a compiled plan and, once a Session run has
+    described it, what a config-keyed hit hands back with it.
+
+    The schedule is ``plan.schedule`` (never held a second time).
+    ``schedule_stats`` is the :func:`~repro.runtime.schedule.schedule_stats`
+    summary, computed once when the describing run filled the entry;
+    readers get copies.  Entries filled by schedule-keyed callers
+    (autotune, ranks, ``Session.execute``) or by the disk tier carry
+    neither until a Session run with the same key describes them.
+    """
+
+    plan: CompiledPlan
+    lattice: Any = None
+    schedule_stats: Optional[Dict[str, Any]] = None
+
+
 class PlanCache:
     """Thread-safe LRU of compiled plans with an optional disk tier."""
 
@@ -153,7 +192,7 @@ class PlanCache:
         self.capacity = capacity
         self.disk_dir = disk_dir
         self.stats = CacheStats()
-        self._entries: "OrderedDict[Tuple, CompiledPlan]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, CacheEntry]" = OrderedDict()
         self._lock = Lock()
 
     def __len__(self) -> int:
@@ -205,12 +244,18 @@ class PlanCache:
         except Exception:
             pass
 
-    def _insert(self, key: Tuple, plan: CompiledPlan) -> None:
-        self._entries[key] = plan
+    def _insert(self, key: Tuple, entry: CacheEntry) -> None:
+        self._entries[key] = entry
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
+
+    def _hit(self, key: Tuple, batched: bool) -> None:
+        self._entries.move_to_end(key)
+        self.stats.hits += 1
+        if batched:
+            self.stats.batched_hits += 1
 
     # -- public API --------------------------------------------------
 
@@ -222,38 +267,63 @@ class PlanCache:
         batch_threshold: int = 4096,
         fuse: bool = True,
         batched: bool = False,
+        *,
+        lattice: Any = None,
+        schedule_stats: Optional[Dict[str, Any]] = None,
     ) -> CompiledPlan:
         """Return the compiled plan for ``schedule``, compiling on miss.
 
         ``batched=True`` marks the lookup as made on behalf of a
         many-instances run: the key is unchanged (one compile serves
         any batch width), only the ``batched_hits`` counter moves.
+
+        ``schedule_stats`` (with the build's ``lattice``) describes the
+        entry, so later :meth:`lookup` calls with the same key serve
+        the whole build; the cache keeps its own copy.
         """
         key = plan_key(spec, schedule, params=params,
                        batch_threshold=batch_threshold, fuse=fuse)
         with self._lock:
-            plan = self._entries.get(key)
-            if plan is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                if batched:
-                    self.stats.batched_hits += 1
-                return plan
-            plan = self._disk_load(key)
-            if plan is not None:
-                # unpickled plans lose nothing: units and indices are
-                # plain data; refresh the live spec so operator identity
-                # is the caller's
-                self.stats.disk_hits += 1
-                self._insert(key, plan)
-                return plan
-            self.stats.misses += 1
-            plan = compile_plan(spec, schedule,
-                                batch_threshold=batch_threshold, fuse=fuse)
-            self.stats.compile_seconds += plan.stats.compile_seconds
-            self._insert(key, plan)
-            self._disk_store(key, plan)
-            return plan
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._hit(key, batched)
+            else:
+                plan = self._disk_load(key)
+                if plan is not None:
+                    # unpickled plans lose nothing: units and indices
+                    # are plain data
+                    self.stats.disk_hits += 1
+                else:
+                    self.stats.misses += 1
+                    plan = compile_plan(spec, schedule,
+                                        batch_threshold=batch_threshold,
+                                        fuse=fuse)
+                    self.stats.compile_seconds += plan.stats.compile_seconds
+                    self._disk_store(key, plan)
+                entry = CacheEntry(plan)
+                self._insert(key, entry)
+            if schedule_stats is not None and entry.schedule_stats is None:
+                self._entries[key] = replace(
+                    entry, lattice=lattice,
+                    schedule_stats=dict(schedule_stats))
+            return entry.plan
+
+    def lookup(self, key: Tuple,
+               batched: bool = False) -> Optional[CacheEntry]:
+        """Config-keyed fast path: the described entry under ``key``.
+
+        ``key`` is derived from a run configuration without building
+        (:meth:`repro.api.builder.ScheduleBuilder.plan_key`).  A hit
+        counts like a :meth:`get` hit.  ``None`` (no entry, or one no
+        Session run has described yet) counts nothing: the caller
+        builds, and its :meth:`get` counts the miss or hit.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry.schedule_stats is None:
+                return None
+            self._hit(key, batched)
+            return entry
 
     def clear(self) -> None:
         with self._lock:

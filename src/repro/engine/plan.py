@@ -519,6 +519,13 @@ class CompiledPlan:
     def num_groups(self) -> int:
         return len(self.group_ids)
 
+    def __getstate__(self):
+        # the per-task unit memo is derived data, rebuilt on demand: a
+        # plan pickles the same whichever backends have already run it
+        state = dict(self.__dict__)
+        state["_task_units"] = {}
+        return state
+
     def task_units(self, group_index: int) -> List[list]:
         """Per-task compiled units of one group (for threaded execution).
 

@@ -18,7 +18,7 @@ is unchanged for existing callers.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +44,29 @@ def _timed_runs(run: Callable[[], object], repeat: int,
         if dt < best:
             best = dt
     return best, out
+
+
+def interleaved_medians(runs, repeat: int,
+                        warmup: int) -> List[Tuple[float, object]]:
+    """``(median seconds, last output)`` of each callable in ``runs``.
+
+    For ratios between workloads on a shared, noisy machine: the
+    callables alternate inside every repeat, so a shift in machine
+    speed (other tenants) lands on both sides of the ratio, and the
+    median, unlike the minimum, is not set by one lucky repeat of one
+    side.
+    """
+    for _ in range(warmup):
+        for run in runs:
+            run()
+    times: List[List[float]] = [[] for _ in runs]
+    outs: List[object] = [None for _ in runs]
+    for _ in range(repeat):
+        for i, run in enumerate(runs):
+            t0 = time.perf_counter()
+            outs[i] = run()
+            times[i].append(time.perf_counter() - t0)
+    return [(float(np.median(ts)), out) for ts, out in zip(times, outs)]
 
 
 def time_schedule(

@@ -44,6 +44,7 @@ from repro.service.jobstore import (
     JobStore,
     JournalReplayError,
     RecoveryReport,
+    SealMismatch,
     job_identity,
 )
 from repro.service.isolation import (
@@ -61,6 +62,7 @@ __all__ = [
     "JobQueue",
     "JournalReplayError",
     "RecoveryReport",
+    "SealMismatch",
     "ServiceFront",
     "Supervisor",
     "SupervisorConfig",

@@ -34,6 +34,14 @@ discipline; the journal records their relative path and SHA-256, so a
 half-written or rotted file is detected at load time and quarantined
 rather than trusted.
 
+A finished job keeps only its small scalar fields in memory.  Its
+submitted config and its result stats are already durable in the
+journal's ``submit`` and ``result`` records, so the store remembers
+those records' offsets and reads them back, re-checking their CRC,
+when :meth:`JobStore.get` or :meth:`JobStore.load_result` asks.  A
+long-lived server's memory therefore grows by about 1 KB per finished
+job, not by the size of its config and stats.
+
 Leases (``leases/<job_id>.lease``) are deliberately *not* journaled:
 they are advisory liveness claims owned by one supervisor process, and
 a crash must leave nothing that blocks a successor — recovery sweeps
@@ -53,7 +61,7 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -74,6 +82,7 @@ __all__ = [
     "JobStore",
     "JournalReplayError",
     "RecoveryReport",
+    "SealMismatch",
     "job_identity",
 ]
 
@@ -114,13 +123,24 @@ class JournalReplayError(RuntimeError):
     """
 
 
+class SealMismatch(ValueError):
+    """Sealed bytes no longer match their seal: a result file against
+    its journaled SHA-256, or a journal record read back against its
+    CRC32.  The bytes are never trusted."""
+
+
 @dataclass
 class Job:
-    """One durable job: the spec reference, its knobs, and its history."""
+    """One durable job: the spec reference, its knobs, and its history.
+
+    The store keeps ``config`` only while the job is queued or running;
+    a finished job's ``config`` and ``stats`` are ``None`` in memory
+    and :meth:`JobStore.get` reads them back from the journal.
+    """
 
     job_id: str
     kernel: str
-    config: Dict[str, Any]
+    config: Optional[Dict[str, Any]]
     idempotency_key: str
     priority: int = 0
     max_retries: int = 2
@@ -141,6 +161,10 @@ class Job:
     result_path: str = ""
     result_sha256: str = ""
     stats: Optional[Dict[str, Any]] = None
+    #: journal offsets of the job's ``submit`` and latest ``result``
+    #: records (-1 = none yet); store bookkeeping, not part of the JSON
+    submit_at: int = field(default=-1, repr=False, compare=False)
+    result_at: int = field(default=-1, repr=False, compare=False)
 
     @property
     def terminal(self) -> bool:
@@ -152,6 +176,7 @@ class Job:
 
     def to_json(self) -> Dict[str, Any]:
         out = asdict(self)
+        del out["submit_at"], out["result_at"]
         out["checkpoints"] = [list(c) for c in self.checkpoints]
         return out
 
@@ -310,13 +335,18 @@ class JobStore:
             os.makedirs(os.path.join(self.root, sub), exist_ok=True)
         self._journal_path = os.path.join(self.root, "journal",
                                           "journal.wal")
+        #: byte offset where the next record goes
+        self._end = 0
         self._replay()
         self._fh = open(self._journal_path, "ab")
+        # finished jobs' config and stats are read back through this
+        self._rfd = os.open(self._journal_path, os.O_RDONLY)
 
     # -- journal ------------------------------------------------------
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        """Seal one record and make it durable before returning."""
+    def _append(self, record: Dict[str, Any]) -> int:
+        """Seal one record and make it durable before returning; the
+        return value is the record's offset in the journal."""
         payload = json.dumps(record, sort_keys=True,
                              separators=(",", ":")).encode()
         self._fh.write(_HEADER.pack(_MAGIC, len(payload), _crc(payload)))
@@ -325,6 +355,23 @@ class JobStore:
         if self.fsync:
             os.fsync(self._fh.fileno())
         self._records += 1
+        offset = self._end
+        self._end += _HEADER.size + len(payload)
+        return offset
+
+    def _read_record(self, offset: int) -> Dict[str, Any]:
+        """Read back the record at ``offset``, re-checking its CRC."""
+        header = os.pread(self._rfd, _HEADER.size, offset)
+        payload = b""
+        if len(header) == _HEADER.size:
+            magic, length, crc = _HEADER.unpack(header)
+            if magic == _MAGIC and length <= _MAX_RECORD:
+                payload = os.pread(self._rfd, length,
+                                   offset + _HEADER.size)
+                if len(payload) == length and _crc(payload) == crc:
+                    return json.loads(payload)
+        raise SealMismatch(f"journal record at offset {offset} failed "
+                           f"its CRC32 seal")
 
     def _replay(self) -> None:
         """Rebuild in-memory state; quarantine a torn journal tail."""
@@ -349,9 +396,10 @@ class JobStore:
                     record = json.loads(payload)
                 except ValueError:
                     break
-                self._apply(record)
+                self._apply(record, good_end)
                 self._records += 1
                 good_end += _HEADER.size + length
+        self._end = good_end
         size = os.path.getsize(path)
         if good_end < size:
             # quarantine the torn tail (never silently discard bytes),
@@ -371,11 +419,13 @@ class JobStore:
                     os.fsync(fh.fileno())
             self._corrupt_tail_bytes = size - good_end
 
-    def _apply(self, record: Dict[str, Any]) -> None:
-        """Fold one journal record into the in-memory state."""
+    def _apply(self, record: Dict[str, Any], offset: int) -> None:
+        """Fold one journal record (found at ``offset``) into the
+        in-memory state."""
         op = record.get("op")
         if op == "submit":
             job = Job.from_json(record["job"])
+            job.submit_at = offset
             self._jobs[job.job_id] = job
             self._by_key[job.idempotency_key] = job.job_id
         elif op == "transition":
@@ -396,6 +446,8 @@ class JobStore:
                 record.get("resumed_from_step", job.resumed_from_step))
             job.worker_crashes = int(
                 record.get("worker_crashes", job.worker_crashes))
+            if dst in TERMINAL_STATES:
+                job.config = None
         elif op == "checkpoint":
             job = self._jobs.get(record["job_id"])
             if job is not None:
@@ -406,7 +458,7 @@ class JobStore:
             if job is not None:
                 job.result_path = record["path"]
                 job.result_sha256 = record["sha256"]
-                job.stats = record.get("stats")
+                job.result_at = offset
         # unknown ops are skipped: a newer writer may add record kinds
         # an older reader can safely ignore
 
@@ -426,7 +478,7 @@ class JobStore:
             existing = self._by_key.get(key)
             if existing is not None:
                 self._dedup_hits += 1
-                return self._jobs[existing], False
+                return self.get(existing), False
             job = Job(
                 job_id=f"job-{key[:16]}",
                 kernel=kernel,
@@ -438,19 +490,42 @@ class JobStore:
                 submitted_unix=time.time(),
                 estimated_bytes=estimate,
             )
-            self._append({"op": "submit", "job": job.to_json()})
+            job.submit_at = self._append({"op": "submit",
+                                          "job": job.to_json()})
             self._jobs[job.job_id] = job
             self._by_key[key] = job.job_id
             return job, True
 
+    def _job(self, job_id: str) -> Job:
+        """The resident record (a finished job's config/stats unset)."""
+        job = self._jobs.get(job_id)
+        if job is None:
+            raise JobNotFound(job_id)
+        return job
+
     def get(self, job_id: str) -> Job:
+        """The job's full record.
+
+        A queued or running job is returned as the live record.  A
+        finished job comes back as a copy whose ``config`` and
+        ``stats`` were read back from the journal; a record that fails
+        its CRC raises :class:`SealMismatch`.
+        """
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise JobNotFound(job_id)
-            return job
+            job = self._job(job_id)
+            if job.config is not None and job.result_at < 0:
+                return job
+            submit_at, result_at = job.submit_at, job.result_at
+        # offsets of journaled records never move: read outside the lock
+        config = self._read_record(submit_at)["job"]["config"]
+        stats = (self._read_record(result_at).get("stats")
+                 if result_at >= 0 else None)
+        return replace(job, config=config, stats=stats)
 
     def jobs(self, state: Optional[str] = None) -> List[Job]:
+        """Every job's resident record, oldest first (a finished job's
+        ``config`` and ``stats`` are ``None``; :meth:`get` reads them
+        back)."""
         with self._lock:
             out = list(self._jobs.values())
         if state is not None:
@@ -473,7 +548,7 @@ class JobStore:
         corrupt store).
         """
         with self._lock:
-            job = self.get(job_id)
+            job = self._job(job_id)
             src = job.state
             if to not in LEGAL_TRANSITIONS.get(src, ()):
                 raise ValueError(
@@ -506,6 +581,8 @@ class JobStore:
                 job.resumed_from_step = int(resumed_from_step)
             if worker_crashes is not None:
                 job.worker_crashes = int(worker_crashes)
+            if to in TERMINAL_STATES:
+                job.config = None  # durable in the submit record
             return job
 
     # -- checkpoints --------------------------------------------------
@@ -525,7 +602,7 @@ class JobStore:
         """
         with self._lock:
             self._check_epoch(job_id, epoch, "checkpoint")
-            job = self.get(job_id)
+            job = self._job(job_id)
             rel = os.path.join("checkpoints", job_id,
                                f"step-{step:08d}.npy")
             path = os.path.join(self.root, rel)
@@ -556,7 +633,7 @@ class JobStore:
         means restart from the journal (step 0).
         """
         with self._lock:
-            job = self.get(job_id)
+            job = self._job(job_id)
             candidates = list(reversed(job.checkpoints))
         for step, rel, sha in candidates:
             path = os.path.join(self.root, rel)
@@ -592,34 +669,36 @@ class JobStore:
         """
         with self._lock:
             self._check_epoch(job_id, epoch, "result commit")
-            job = self.get(job_id)
+            job = self._job(job_id)
             rel = os.path.join("results", f"{job_id}.npy")
             path = os.path.join(self.root, rel)
             _atomic_write_bytes(path, _array_bytes(interior),
                                 fsync=self.fsync)
             sha = _sha256_file(path)
-            self._append({"op": "result", "job_id": job_id, "path": rel,
-                          "sha256": sha, "stats": stats})
+            job.result_at = self._append({
+                "op": "result", "job_id": job_id, "path": rel,
+                "sha256": sha, "stats": stats})
             job.result_path = rel
             job.result_sha256 = sha
-            job.stats = stats
             self._results_stored += 1
             return self.transition(job_id, DONE)
 
     def load_result(self, job_id: str) -> Tuple[np.ndarray, Dict[str, Any]]:
-        """Load a sealed result, re-verifying its SHA-256."""
+        """Load a sealed result, re-verifying its SHA-256 (and the CRC
+        of the journal record its stats are read back from)."""
         with self._lock:
-            job = self.get(job_id)
+            job = self._job(job_id)
             if job.state != DONE or not job.result_path:
                 raise ValueError(
                     f"job {job_id} has no sealed result "
                     f"(state={job.state})")
             path = os.path.join(self.root, job.result_path)
             sha = job.result_sha256
-            stats = dict(job.stats or {})
+            result_at = job.result_at
+        stats = self._read_record(result_at).get("stats") or {}
         if _sha256_file(path) != sha:
-            raise ValueError(f"result file for {job_id} failed its "
-                             f"SHA-256 seal")
+            raise SealMismatch(f"result file for {job_id} failed its "
+                               f"SHA-256 seal")
         with open(path, "rb") as fh:
             arr = np.load(fh, allow_pickle=False)
         return arr, stats
@@ -812,6 +891,7 @@ class JobStore:
                     except OSError:
                         pass
                 self._fh.close()
+                os.close(self._rfd)
 
     def __enter__(self) -> "JobStore":
         return self
