@@ -2,9 +2,16 @@
 
 Standalone script (not a pytest bench) emitting machine-readable
 ``BENCH_engine.json``: for each (kernel, scheme, grid, threads)
-workload it times the naive schedule interpreter and the compiled
-engine on identical initial state, verifies bit-identical results, and
-records points/sec plus the compiled/naive speedup.
+workload it times the naive schedule interpreter, the compiled engine
+and the plain vectorized sweep (``reference_sweep``) on identical
+initial state, verifies bit-identical results, and records points/sec
+plus the compiled/naive speedup.  The three alternate inside every
+repeat and each reports its median
+(:func:`repro.perf.wallclock.interleaved_medians`), so a shift in
+machine speed lands on both sides of the guarded ratio.  Every row
+also carries the cold ``build_s`` (lattice + schedule) and
+``compile_s`` (schedule -> plan) of its configuration, and
+``speedup_vs_sweep``, the compiled engine against the sweep.
 
 Modes:
 
@@ -47,8 +54,10 @@ import numpy as np
 from repro import Grid, get_stencil, make_lattice
 from repro.core.schedules import tess_schedule
 from repro.engine import PlanCache
+from repro.perf.wallclock import interleaved_medians
 from repro.runtime.schedule import _execute_schedule
 from repro.runtime.threadpool import _execute_threaded
+from repro.stencils.reference import reference_sweep
 
 SCHEMA = "bench-engine/1"
 
@@ -78,19 +87,6 @@ WORKLOADS = [
 ]
 
 
-def _min_of_k(run, repeat, warmup):
-    for _ in range(warmup):
-        run()
-    best, out = float("inf"), None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        out = run()
-        dt = time.perf_counter() - t0
-        if dt < best:
-            best, out = dt, out
-    return best, out
-
-
 def _restored(grid, init, fn):
     def run():
         for dst, src in zip(grid.buffers, init):
@@ -103,32 +99,40 @@ def _restored(grid, init, fn):
 def bench_workload(name, kernel, shape, steps, b, merged, threads,
                    cache, repeat, warmup):
     spec = get_stencil(kernel)
+    t0 = time.perf_counter()
     lat = make_lattice(spec, shape, b)
     sched = tess_schedule(spec, shape, lat, steps, merged=merged)
+    build_s = time.perf_counter() - t0
     plan = cache.get(spec, sched, params=(b, bool(merged)))
 
+    # one grid per timed run, so the outputs compared below are distinct
     grid = Grid(spec, shape, init="random", seed=0)
     init = [buf.copy() for buf in grid.buffers]
+    g_naive, g_comp, g_sweep = grid, grid.copy(), grid.copy()
 
     if threads == 1:
         from repro.engine.plan import _execute_plan
 
-        naive_fn = _restored(grid, init,
-                             lambda: _execute_schedule(spec, grid, sched))
-        comp_fn = _restored(grid, init, lambda: _execute_plan(plan, grid))
+        naive_fn = _restored(g_naive, init,
+                             lambda: _execute_schedule(spec, g_naive, sched))
+        comp_fn = _restored(g_comp, init,
+                            lambda: _execute_plan(plan, g_comp))
     else:
         naive_fn = _restored(
-            grid, init,
-            lambda: _execute_threaded(spec, grid, sched, num_threads=threads))
+            g_naive, init,
+            lambda: _execute_threaded(spec, g_naive, sched,
+                                      num_threads=threads))
         comp_fn = _restored(
-            grid, init,
-            lambda: _execute_threaded(spec, grid, sched, num_threads=threads,
-                                     plan=plan))
+            g_comp, init,
+            lambda: _execute_threaded(spec, g_comp, sched,
+                                      num_threads=threads, plan=plan))
+    sweep_fn = _restored(g_sweep, init,
+                         lambda: reference_sweep(spec, g_sweep, steps))
 
-    naive_s, naive_out = _min_of_k(naive_fn, repeat, warmup)
-    naive_out = np.array(naive_out, copy=True)
-    comp_s, comp_out = _min_of_k(comp_fn, repeat, warmup)
-    identical = bool(np.array_equal(naive_out, comp_out))
+    (naive_s, naive_out), (comp_s, comp_out), (sweep_s, sweep_out) = \
+        interleaved_medians((naive_fn, comp_fn, sweep_fn), repeat, warmup)
+    identical = (naive_out.tobytes() == comp_out.tobytes()
+                 and sweep_out.tobytes() == comp_out.tobytes())
 
     points = sched.total_points()
     row = {
@@ -141,11 +145,15 @@ def bench_workload(name, kernel, shape, steps, b, merged, threads,
         "merged": bool(merged),
         "threads": threads,
         "points": int(points),
+        "build_s": build_s,
+        "compile_s": plan.stats.compile_seconds,
         "naive_s": naive_s,
         "compiled_s": comp_s,
+        "sweep_s": sweep_s,
         "naive_pps": points / naive_s if naive_s > 0 else 0.0,
         "compiled_pps": points / comp_s if comp_s > 0 else 0.0,
         "speedup": naive_s / comp_s if comp_s > 0 else 0.0,
+        "speedup_vs_sweep": sweep_s / comp_s if comp_s > 0 else 0.0,
         "identical": identical,
         "plan": plan.stats.describe(),
     }
@@ -199,14 +207,15 @@ def main(argv=None):
                     help="CI smoke: small workloads only")
     ap.add_argument("--out", default="BENCH_engine.json",
                     help="output JSON path (default: %(default)s)")
-    ap.add_argument("--repeat", type=int, default=None,
-                    help="min-of-k repeats (default: 3, quick: 2)")
+    ap.add_argument("--repeat", type=int, default=5,
+                    help="interleaved repeats, median reported "
+                         "(default: %(default)s)")
     ap.add_argument("--check", metavar="BASELINE",
                     help="compare speedups against a baseline JSON")
     ap.add_argument("--tolerance", type=float, default=0.20,
                     help="allowed speedup regression (default: 0.20)")
     args = ap.parse_args(argv)
-    repeat = args.repeat or (2 if args.quick else 3)
+    repeat = args.repeat
 
     cache = PlanCache(capacity=16)
     rows = []
@@ -218,8 +227,11 @@ def main(argv=None):
         rows.append(row)
         flag = "" if row["identical"] else "  ** MISMATCH **"
         print(f"{name:24s} threads={threads}  "
+              f"build {row['build_s'] * 1e3:7.1f} ms  "
+              f"compile {row['compile_s'] * 1e3:7.1f} ms  "
               f"naive {row['naive_s'] * 1e3:9.1f} ms  "
               f"compiled {row['compiled_s'] * 1e3:8.1f} ms  "
+              f"sweep {row['sweep_s'] * 1e3:7.1f} ms  "
               f"{row['speedup']:6.1f}x{flag}")
 
     env = env_fingerprint()

@@ -2,7 +2,10 @@
 
 Standalone script (not a pytest bench) emitting machine-readable
 ``BENCH_stages.json``.  For each shipped system it times three drivers
-on identical initial state and verifies all three land bit-identical:
+on identical initial state, alternating them inside every repeat and
+reporting the median of each
+(:func:`repro.perf.wallclock.interleaved_medians`), and verifies all
+three land bit-identical:
 
 * ``naive_s`` — the interpreted schedule walk
   (:func:`~repro.runtime.schedule._execute_schedule` over the same
@@ -11,12 +14,15 @@ on identical initial state and verifies all three land bit-identical:
   repo's standing "naive executor" column (``BENCH_engine.json`` uses
   the same baseline) and the denominator of the acceptance speedup;
 * ``sweep_s`` — the vectorized per-stage full-grid sweep
-  (:func:`~repro.stencils.reference.reference_step` in a loop), the
+  (:func:`~repro.stencils.reference.reference_sweep`), the
   honesty column: whole-array NumPy with no tiling at all.  On grids
   that fit in cache it can beat tiled execution — the ratio is
   reported, not hidden;
 * ``compiled_s`` — the compiled plan (gather/scatter staged batch
   kernels, precomputed index vectors, plan-cache reuse).
+
+Single rows also carry the cold ``build_s`` (lattice + schedule) and
+``compile_s`` (schedule -> plan) of their configuration.
 
 A final ``mode="batched"`` row times N independent compiled runs
 against one ``run_many`` batch of the same N instances (the staged
@@ -57,7 +63,7 @@ from repro.engine import PlanCache
 from repro.engine.plan import _execute_plan
 from repro.perf.wallclock import interleaved_medians
 from repro.runtime.schedule import _execute_schedule
-from repro.stencils.reference import reference_step
+from repro.stencils.reference import reference_sweep
 from repro.stencils.systems import get_system
 
 SCHEMA = "bench-stages/1"
@@ -94,19 +100,6 @@ BATCH_WORKLOADS = [
 ]
 
 
-def _min_of_k(run, repeat, warmup):
-    for _ in range(warmup):
-        run()
-    best, out = float("inf"), None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        out = run()
-        dt = time.perf_counter() - t0
-        if dt < best:
-            best, out = dt, out
-    return best, out
-
-
 def _restored(grid, init, fn):
     def run():
         for dst, src in zip(grid.buffers, init):
@@ -137,28 +130,25 @@ def _initial_grid(spec, shape):
 
 def bench_workload(name, system, shape, steps, b, cache, repeat, warmup):
     spec = get_system(system)
+    t0 = time.perf_counter()
     lat = make_lattice(spec, shape, b)
     sched = tess_schedule(spec, shape, lat, steps)
+    build_s = time.perf_counter() - t0
     plan = cache.get(spec, sched, params=(b,))
 
+    # one grid per timed run, so the outputs compared below are distinct
     grid = _initial_grid(spec, shape)
     init = [buf.copy() for buf in grid.buffers]
+    g_naive, g_sweep, g_comp = grid, grid.copy(), grid.copy()
 
-    def sweep():
-        for t in range(steps):
-            reference_step(spec, grid, t)
-        return grid.interior(steps)
-
-    naive_fn = _restored(grid, init,
-                         lambda: _execute_schedule(spec, grid, sched))
-    sweep_fn = _restored(grid, init, sweep)
-    comp_fn = _restored(grid, init, lambda: _execute_plan(plan, grid))
-
-    naive_s, naive_out = _min_of_k(naive_fn, repeat, warmup)
-    naive_out = np.array(naive_out, copy=True)
-    sweep_s, sweep_out = _min_of_k(sweep_fn, repeat, warmup)
-    sweep_out = np.array(sweep_out, copy=True)
-    comp_s, comp_out = _min_of_k(comp_fn, repeat, warmup)
+    (naive_s, naive_out), (sweep_s, sweep_out), (comp_s, comp_out) = \
+        interleaved_medians((
+            _restored(g_naive, init,
+                      lambda: _execute_schedule(spec, g_naive, sched)),
+            _restored(g_sweep, init,
+                      lambda: reference_sweep(spec, g_sweep, steps)),
+            _restored(g_comp, init, lambda: _execute_plan(plan, g_comp)),
+        ), repeat, warmup)
     identical = bool(
         naive_out.tobytes() == comp_out.tobytes()
         and sweep_out.tobytes() == comp_out.tobytes()
@@ -174,6 +164,8 @@ def bench_workload(name, system, shape, steps, b, cache, repeat, warmup):
         "steps": steps,
         "b": b,
         "points": int(points),
+        "build_s": build_s,
+        "compile_s": plan.stats.compile_seconds,
         "naive_s": naive_s,
         "sweep_s": sweep_s,
         "compiled_s": comp_s,
@@ -270,14 +262,15 @@ def main(argv=None):
                     help="CI smoke: small workloads only")
     ap.add_argument("--out", default="BENCH_stages.json",
                     help="output JSON path (default: %(default)s)")
-    ap.add_argument("--repeat", type=int, default=None,
-                    help="min-of-k repeats (default: 3, quick: 2)")
+    ap.add_argument("--repeat", type=int, default=5,
+                    help="interleaved repeats, median reported "
+                         "(default: %(default)s)")
     ap.add_argument("--check", metavar="BASELINE",
                     help="compare speedups against a baseline JSON")
     ap.add_argument("--tolerance", type=float, default=0.25,
                     help="allowed speedup regression (default: 0.25)")
     args = ap.parse_args(argv)
-    repeat = args.repeat or (2 if args.quick else 3)
+    repeat = args.repeat
 
     cache = PlanCache(capacity=16)
     rows = []
@@ -288,7 +281,9 @@ def main(argv=None):
                              repeat, warmup=1)
         rows.append(row)
         flag = "" if row["identical"] else "  ** MISMATCH **"
-        print(f"{name:22s} naive {row['naive_s'] * 1e3:9.1f} ms  "
+        print(f"{name:22s} build {row['build_s'] * 1e3:6.1f} ms  "
+              f"compile {row['compile_s'] * 1e3:6.1f} ms  "
+              f"naive {row['naive_s'] * 1e3:9.1f} ms  "
               f"sweep {row['sweep_s'] * 1e3:8.1f} ms  "
               f"compiled {row['compiled_s'] * 1e3:8.1f} ms  "
               f"{row['speedup']:6.1f}x "

@@ -98,7 +98,9 @@ def _evaluate(spec: StencilSpec, shape: Sequence[int], steps: int,
     except ValueError:
         return None
     sched = built.schedule
-    if not sched.tasks:
+    # the table, not the object view: a probe never builds actions
+    table = sched.table()
+    if not table.num_tasks:
         return None
     if objective == "wallclock":
         from repro.perf.wallclock import time_plan
@@ -106,7 +108,7 @@ def _evaluate(spec: StencilSpec, shape: Sequence[int], steps: int,
         plan = session.lower(sched, built.params)
         secs, _ = time_plan(plan, repeat=repeat, warmup=1)
         res: Union[SimResult, MeasuredResult] = MeasuredResult(
-            time_s=secs, points=sched.total_points())
+            time_s=secs, points=int(table.points().sum()))
     elif objective == "simulate":
         res = simulate(spec, sched, machine, cores)
     else:

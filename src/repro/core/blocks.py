@@ -15,6 +15,12 @@ clipped to the domain — exactly the ``xmin``/``xmax`` bounds the
 paper's artifact C code computes (§4.2, coarsened form).  Because every
 per-step update set is a rectangle, a whole block step is one
 vectorised :meth:`~repro.stencils.spec.StencilSpec.apply_region` call.
+
+:meth:`TessBlock.region_at` is the scalar form (block executors,
+distributed ranks, the sanitizer); :func:`block_rectangles` evaluates
+the same formula for every block of a stage and every ``s`` at once,
+which is how :func:`repro.core.schedules.tess_schedule` builds its
+rectangle table.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.profiles import Interval, TessLattice
 from repro.stencils.spec import Region, region_size
@@ -71,6 +79,57 @@ class TessBlock:
             region_size(self.region_at(s, b, slopes, shape))
             for s in range(b)
         )
+
+
+def block_rectangles(bases: Sequence[Sequence[Interval]],
+                     glued_sets: Sequence[Sequence[int]], b: int,
+                     slopes: Sequence[int], shape: Sequence[int]):
+    """:meth:`TessBlock.region_at` for a whole product of blocks.
+
+    The blocks are ``itertools.product(*bases)`` (last axis fastest).
+    For each glued set — one *part* per set, so the §4.3 merged
+    ``B_d``/``B_0`` pair can share its plateau bases — returns
+    ``(blk, s, lo, hi)`` with one row per non-empty ``(block, s)``
+    rectangle, block-major then ``s``.  ``blk`` numbers, in product
+    order, the blocks that have a non-empty rectangle in some part;
+    the second return value is how many such numbers there are.
+    """
+    d = len(bases)
+    ks = np.arange(b, dtype=np.int64)
+    geo = []
+    for glued in glued_sets:
+        dims = []
+        for j in range(d):
+            base = np.array(bases[j], dtype=np.int64).reshape(-1, 2)
+            r = (ks if j in glued else b - 1 - ks) * int(slopes[j])
+            lo = np.maximum(0, base[:, :1] - r)
+            hi = np.minimum(int(shape[j]), base[:, 1:] + r)
+            dims.append((lo, hi))
+        geo.append(dims)
+    # an axis interval empty at every s in every part joins no block
+    keep = [
+        np.flatnonzero(np.logical_or.reduce(
+            [(dims[j][1] > dims[j][0]).any(axis=1) for dims in geo]))
+        for j in range(d)
+    ]
+    counts = [len(k) for k in keep]
+    nblocks = int(np.prod(counts))
+    parts = []
+    for dims in geo:
+        lohi = [(lo[keep[j]], hi[keep[j]]) for j, (lo, hi) in enumerate(dims)]
+        mask = np.ones(counts + [b], dtype=bool)
+        for j, (lo, hi) in enumerate(lohi):
+            axis_shape = [1] * d + [b]
+            axis_shape[j] = counts[j]
+            mask &= (hi > lo).reshape(axis_shape)
+        blk, s = np.nonzero(mask.reshape(nblocks, b))
+        at = np.unravel_index(blk, counts)
+        parts.append((
+            blk, s,
+            np.stack([lo[at[j], s] for j, (lo, _) in enumerate(lohi)], 1),
+            np.stack([hi[at[j], s] for j, (_, hi) in enumerate(lohi)], 1),
+        ))
+    return parts, nblocks
 
 
 def enumerate_stage_blocks(lattice: TessLattice, stage: int,

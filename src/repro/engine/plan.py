@@ -12,14 +12,20 @@ A :class:`CompiledPlan` hoists all of that to compile time:
 * **precomputed slices** — every ``(action, offset)`` slice tuple is
   built once;
 * **same-step fusion** — inside one barrier group, actions at the same
-  global step are proven write-disjoint with the sanitizer's overlap
-  sweep (:func:`repro.runtime.sanitizer._find_pairwise_overlap` — the
-  Theorem 3.5 disjointness half), then greedily fused into maximal
-  rectangles, and the small remainder is lowered to **batched**
-  gather/compute/scatter updates over flat index arrays (one ufunc
-  dispatch sequence for hundreds of actions);
+  global step are proven write-disjoint (the Theorem 3.5 disjointness
+  half: a pairwise box test for small layers, duplicate flat indices
+  for large ones), then greedily fused into maximal rectangles, and
+  the small remainder is lowered to **batched** gather/compute/scatter
+  updates over flat index arrays (one ufunc dispatch sequence for
+  hundreds of actions);
 * **allocation-free kernels** — the per-unit update runs through
   :mod:`repro.engine.kernels` into reusable per-thread scratch.
+
+Compilation reads the schedule's rectangle table
+(:meth:`~repro.runtime.schedule.RegionSchedule.table`) and does each of
+these steps as one array pass over every barrier group at once; it
+never touches the schedule's action objects (ghost-zone schedules
+excepted).
 
 Execution order inside a group is lowered to ascending global step,
 which is a valid interleaving of the group's task orders whenever each
@@ -45,6 +51,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine.rects import (
+    chunks,
+    flat_indices,
+    fuse_layers,
+    overlapping_layers,
+    ragged_arange,
+    run_starts,
+)
 from repro.engine.kernels import (
     ScratchArena,
     life_batch,
@@ -55,7 +69,11 @@ from repro.engine.kernels import (
     linear_slices,
     thread_arena,
 )
-from repro.runtime.schedule import RegionAction, RegionSchedule
+from repro.runtime.schedule import (
+    RegionAction,
+    RegionSchedule,
+    ScheduleTable,
+)
 from repro.stencils.grid import Grid
 from repro.stencils.operators import (
     GameOfLifeOperator,
@@ -66,7 +84,6 @@ from repro.stencils.spec import (
     StencilSpec,
     clip_region,
     region_is_empty,
-    region_size,
 )
 from repro.stencils.staged import stage_scratch, stage_timings
 
@@ -92,53 +109,6 @@ def _region_slices(region: Region, halo: Sequence[int],
         slice(lo + h + o, hi + h + o)
         for (lo, hi), h, o in zip(region, halo, offset)
     )
-
-
-def _region_flat_indices(region: Region, halo: Sequence[int],
-                         strides: Sequence[int]) -> np.ndarray:
-    """Flat (raveled padded-array) indices of a region's cells."""
-    acc: Optional[np.ndarray] = None
-    for (lo, hi), h, st in zip(region, halo, strides):
-        ax = np.arange(lo + h, hi + h, dtype=np.intp) * st
-        acc = ax if acc is None else (acc[..., None] + ax)
-    assert acc is not None
-    return np.ascontiguousarray(acc.ravel())
-
-
-def _fuse_rectangles(regions: List[Region]) -> List[Region]:
-    """Greedily merge touching rectangles into maximal ones.
-
-    Two rectangles merge when they agree on every axis but one and are
-    adjacent (``hi == lo``) along that axis.  Input rectangles must be
-    pairwise disjoint; repeated axis passes run to a fixpoint.
-    """
-    if len(regions) < 2:
-        return list(regions)
-    d = len(regions[0])
-    regs = list(regions)
-    changed = True
-    while changed:
-        changed = False
-        for axis in range(d):
-            chains: Dict[tuple, List[Region]] = {}
-            for r in regs:
-                key = r[:axis] + r[axis + 1:]
-                chains.setdefault(key, []).append(r)
-            merged: List[Region] = []
-            for rs in chains.values():
-                rs.sort(key=lambda r: r[axis][0])
-                cur = rs[0]
-                for r in rs[1:]:
-                    if r[axis][0] == cur[axis][1]:
-                        cur = (cur[:axis] + ((cur[axis][0], r[axis][1]),)
-                               + cur[axis + 1:])
-                        changed = True
-                    else:
-                        merged.append(cur)
-                        cur = r
-                merged.append(cur)
-            regs = merged
-    return regs
 
 
 # ---------------------------------------------------------------------------
@@ -223,22 +193,28 @@ class _GenericSliceOp:
                             spec.halo)
 
 
+def _rect_writes(t: int, lo: np.ndarray, hi: np.ndarray):
+    """``[(t, region)]`` of rectangles kept as ``lo``/``hi`` rows."""
+    return [(t, region) for region in _regions(lo, hi)]
+
+
 class _LinearBatch:
     """All small same-step rectangles of one group as one gather/scatter."""
 
-    __slots__ = ("sp", "dp", "t", "regions", "idx", "off_flats", "coeffs")
+    __slots__ = ("sp", "dp", "t", "lo", "hi", "idx", "off_flats", "coeffs")
 
-    def __init__(self, t, regions, idx, off_flats, coeffs):
+    def __init__(self, t, lo, hi, idx, off_flats, coeffs):
         self.t = t
         self.sp = t % 2
         self.dp = (t + 1) % 2
-        self.regions = regions
+        self.lo = lo
+        self.hi = hi
         self.idx = idx
         self.off_flats = off_flats
         self.coeffs = coeffs
 
     def writes(self):
-        return [(self.t, r) for r in self.regions]
+        return _rect_writes(self.t, self.lo, self.hi)
 
     def run(self, bufs, flats, spec, arena):
         linear_batch(flats[self.sp], flats[self.dp], self.idx,
@@ -250,19 +226,21 @@ class _LinearBatch:
 
 
 class _LifeBatch:
-    __slots__ = ("sp", "dp", "t", "regions", "idx", "off_flats", "centre_off")
+    __slots__ = ("sp", "dp", "t", "lo", "hi", "idx", "off_flats",
+                 "centre_off")
 
-    def __init__(self, t, regions, idx, off_flats, centre_off):
+    def __init__(self, t, lo, hi, idx, off_flats, centre_off):
         self.t = t
         self.sp = t % 2
         self.dp = (t + 1) % 2
-        self.regions = regions
+        self.lo = lo
+        self.hi = hi
         self.idx = idx
         self.off_flats = off_flats
         self.centre_off = centre_off
 
     def writes(self):
-        return [(self.t, r) for r in self.regions]
+        return _rect_writes(self.t, self.lo, self.hi)
 
     def run(self, bufs, flats, spec, arena):
         life_batch(flats[self.sp], flats[self.dp], self.idx,
@@ -335,15 +313,16 @@ class _StagedBatch:
     rectangles.
     """
 
-    __slots__ = ("sp", "dp", "t", "regions", "stage_ops", "idx",
+    __slots__ = ("sp", "dp", "t", "lo", "hi", "stage_ops", "idx",
                  "num_fields", "field_size", "pad_shape")
 
-    def __init__(self, t, regions, stage_ops, copy_idx, num_fields,
+    def __init__(self, t, lo, hi, stage_ops, copy_idx, num_fields,
                  field_size, pad_shape):
         self.t = t
         self.sp = t % 2
         self.dp = (t + 1) % 2
-        self.regions = regions
+        self.lo = lo
+        self.hi = hi
         self.stage_ops = stage_ops      # (stage, pos, wshift, ((new, shift),))
         self.idx = copy_idx             # flat spatial indices of the raw rects
         self.num_fields = num_fields
@@ -351,7 +330,7 @@ class _StagedBatch:
         self.pad_shape = pad_shape
 
     def writes(self):
-        return [(self.t, r) for r in self.regions]
+        return _rect_writes(self.t, self.lo, self.hi)
 
     def run(self, bufs, flats, spec, arena):
         scr_flat = stage_scratch(self.pad_shape, spec.dtype).reshape(-1)
@@ -530,21 +509,28 @@ class CompiledPlan:
         """Per-task compiled units of one group (for threaded execution).
 
         Tasks keep their original action order — no cross-task fusion —
-        so the barrier-group independence contract is untouched.
+        so the barrier-group independence contract is untouched.  Every
+        group's units are read from the schedule's table on first use,
+        so this never builds the schedule's object view.
         """
-        cached = self._task_units.get(group_index)
-        if cached is not None:
-            return cached
-        gid = self.group_ids[group_index]
-        tasks = self.schedule.groups()[gid]
+        if not self._task_units:
+            self._task_units.update(self._compile_task_units())
+        return self._task_units[group_index]
+
+    def _compile_task_units(self) -> Dict[int, List[list]]:
+        table = self.schedule.table()
         ctx = _CompileCtx(self.spec, self.shape)
-        units = [
-            [ctx.slice_unit(a.t, a.region) for a in task.actions
-             if not region_is_empty(a.region)]
-            for task in tasks
-        ]
-        self._task_units[group_index] = units
-        return units
+        rows = np.flatnonzero(np.all(table.hi > table.lo, axis=1))
+        units = [ctx.slice_unit(step, region) for step, region in
+                 zip(table.t[rows].tolist(),
+                     _regions(table.lo[rows], table.hi[rows]))]
+        bounds = np.searchsorted(table.task[rows],
+                                 np.arange(table.num_tasks + 1)).tolist()
+        index = {gid: gi for gi, gid in enumerate(self.group_ids)}
+        out: Dict[int, List[list]] = {gi: [] for gi in index.values()}
+        for k, gid in enumerate(table.group.tolist()):
+            out[index[gid]].append(units[bounds[k]:bounds[k + 1]])
+        return out
 
     def execute(self, grid: Grid, arena: Optional[ScratchArena] = None
                 ) -> np.ndarray:
@@ -677,16 +663,22 @@ class _CompileCtx:
             )
         return _GenericSliceOp(t, region)
 
-    def batch_unit(self, t: int, regions: List[Region]):
+    def batch_unit(self, t: int, lo: np.ndarray, hi: np.ndarray,
+                   idx: Optional[np.ndarray] = None):
+        """One gather/scatter unit over rectangles ``lo``/``hi``.
+
+        ``idx`` is their flat indices when the caller expanded them
+        already (linear and Life batches); ``None`` when the operator
+        has no batched kernel.
+        """
         if self.kind == "staged":
             op = self.spec.operator
             stage_ops = []
-            for si, stage in enumerate(op.stages):
-                pos = np.concatenate([
-                    _region_flat_indices(self._grown_regions(r)[si],
-                                         self.halo, self.strides)
-                    for r in regions
-                ]) if regions else np.empty(0, dtype=np.intp)
+            for stage, grow in zip(op.stages, op.grow):
+                grow = np.asarray(grow, dtype=np.int64)
+                pos = flat_indices(np.maximum(lo - grow, 0),
+                                   np.minimum(hi + grow, self.shape),
+                                   self.halo, self.strides)
                 wshift = op.field_index[stage.writes] * self.field_size
                 shifts = tuple(
                     (new,
@@ -695,59 +687,22 @@ class _CompileCtx:
                     for f, off, new in stage.reads
                 )
                 stage_ops.append((stage, pos, wshift, shifts))
-            copy_idx = np.concatenate([
-                _region_flat_indices(r, self.halo, self.strides)
-                for r in regions
-            ]) if regions else np.empty(0, dtype=np.intp)
-            return _StagedBatch(t, regions, tuple(stage_ops), copy_idx,
+            return _StagedBatch(t, lo, hi, tuple(stage_ops),
+                                flat_indices(lo, hi, self.halo,
+                                             self.strides),
                                 self.num_fields, self.field_size,
                                 self.padded)
-        if self.kind not in ("linear", "life"):
-            return None
-        idx = np.concatenate([
-            _region_flat_indices(r, self.halo, self.strides)
-            for r in regions
-        ]) if regions else np.empty(0, dtype=np.intp)
         if self.kind == "linear":
-            return _LinearBatch(t, regions, idx, self.off_flats, self.coeffs)
-        return _LifeBatch(t, regions, idx, self.neigh_flats,
-                          self.centre_flat)
+            return _LinearBatch(t, lo, hi, idx, self.off_flats, self.coeffs)
+        if self.kind == "life":
+            return _LifeBatch(t, lo, hi, idx, self.neigh_flats,
+                              self.centre_flat)
+        return None
 
 
-def _tasks_time_monotone(tasks) -> bool:
-    for task in tasks:
-        last = None
-        for a in task.actions:
-            if region_is_empty(a.region):
-                continue
-            if last is not None and a.t < last:
-                return False
-            last = a.t
-    return True
-
-
-def _layer_write_disjoint(regions: List[Region], ctx: _CompileCtx) -> bool:
-    """Exact same-step write-disjointness (Theorem 3.5's disjoint half).
-
-    Small layers use the sanitizer's pairwise interval sweep
-    (:func:`repro.runtime.sanitizer._find_pairwise_overlap`); large
-    layers use an equivalent exact check — two rectangles overlap iff
-    their flat cell-index sets intersect, i.e. iff the concatenated
-    sorted index array has a duplicate — which is vectorised and keeps
-    compilation linear in the layer's point count.
-    """
-    if len(regions) < 2:
-        return True
-    if len(regions) <= 64:
-        from repro.runtime.sanitizer import _find_pairwise_overlap
-
-        return _find_pairwise_overlap(
-            [(r, i) for i, r in enumerate(regions)]) is None
-    idx = np.concatenate([
-        _region_flat_indices(r, ctx.halo, ctx.strides) for r in regions
-    ])
-    idx.sort(kind="stable")
-    return not bool(np.any(idx[1:] == idx[:-1]))
+def _regions(lo: np.ndarray, hi: np.ndarray) -> List[Region]:
+    """Rows of ``lo``/``hi`` as region tuples of plain ints."""
+    return [tuple(zip(a, b)) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def compile_plan(
@@ -763,6 +718,12 @@ def compile_plan(
     kernels, which move less memory per point.  ``fuse=False`` disables
     both rectangle fusion and batching (per-action slice ops only) —
     the debugging/fallback configuration.
+
+    Shared-buffer schedules are lowered from :meth:`RegionSchedule.table`
+    in a fixed number of array passes over all barrier groups at once:
+    drop empty rows; find tasks whose steps go back in time; prove each
+    same-step layer write-disjoint; fuse; split small from large
+    rectangles; expand the batches' flat indices.
     """
     if spec.is_periodic:
         raise ValueError("compiled plans assume non-periodic boundaries")
@@ -779,82 +740,145 @@ def compile_plan(
             f"schedule rank {len(schedule.shape)} != stencil ndim {spec.ndim}"
         )
     t0 = time.perf_counter()
-    stats = PlanStats(tasks=len(schedule.tasks), groups=0)
     ctx = _CompileCtx(spec, schedule.shape)
-    groups = schedule.groups()
-    gids = sorted(groups)
-    stats.groups = len(gids)
-    streams: List[list] = []
     if schedule.private_tasks:
-        for gid in gids:
-            ptasks = [_compile_private_task(ctx, task)
-                      for task in groups[gid]]
-            ptasks = [pt for pt in ptasks if pt is not None]
-            stats.actions += sum(len(pt.actions) for pt in ptasks)
-            streams.append([_PrivateGroup(ptasks)] if ptasks else [])
-        stats.stream_units = sum(len(s) for s in streams)
-        stats.compile_seconds = time.perf_counter() - t0
-        return CompiledPlan(
-            scheme=schedule.scheme, shape=schedule.shape,
-            steps=schedule.steps, spec=spec, group_ids=gids,
-            streams=streams, private=True, stats=stats, schedule=schedule,
-        )
-
-    for gid in gids:
-        tasks = groups[gid]
-        acts = [(a.t, a.region) for task in tasks for a in task.actions
-                if not region_is_empty(a.region)]
-        stats.actions += len(acts)
-        by_t: Dict[int, List[Region]] = {}
-        for t, r in acts:
-            by_t.setdefault(t, []).append(r)
-        reorder = (
-            fuse
-            and not schedule.redundant
-            and _tasks_time_monotone(tasks)
-            and all(_layer_write_disjoint(rs, ctx) for rs in by_t.values())
-        )
-        stream: list = []
-        if not reorder:
-            # original task order, per-action compiled slices: exactly
-            # execute_schedule's interleaving with the geometry hoisted
-            stats.fallback_groups += 1
-            for task in tasks:
-                for a in task.actions:
-                    if region_is_empty(a.region):
-                        continue
-                    stream.append(ctx.slice_unit(a.t, a.region))
-            stats.sliced_actions += len(stream)
-            streams.append(stream)
-            continue
-        for t in sorted(by_t):
-            regions = by_t[t]
-            fused = _fuse_rectangles(regions)
-            stats.fused_actions += len(regions) - len(fused)
-            small = [r for r in fused if region_size(r) < batch_threshold]
-            large = [r for r in fused if region_size(r) >= batch_threshold]
-            for r in large:
-                stream.append(ctx.slice_unit(t, r))
-                stats.sliced_actions += 1
-            if small:
-                batch = ctx.batch_unit(t, small)
-                if batch is None:      # no batched kernel: slice them
-                    for r in small:
-                        stream.append(ctx.slice_unit(t, r))
-                        stats.sliced_actions += 1
-                else:
-                    stream.append(batch)
-                    stats.batches += 1
-                    stats.batched_actions += len(small)
-                    stats.index_bytes += batch.idx.nbytes
-        streams.append(stream)
+        group_ids, streams, stats = _compile_private(ctx, schedule)
+    else:
+        group_ids, streams, stats = _compile_table(
+            ctx, schedule.table(), schedule.redundant, batch_threshold, fuse)
     stats.stream_units = sum(len(s) for s in streams)
     stats.compile_seconds = time.perf_counter() - t0
     return CompiledPlan(
         scheme=schedule.scheme, shape=schedule.shape, steps=schedule.steps,
-        spec=spec, group_ids=gids, streams=streams, private=False,
-        stats=stats, schedule=schedule,
+        spec=spec, group_ids=group_ids, streams=streams,
+        private=schedule.private_tasks, stats=stats, schedule=schedule,
     )
+
+
+def _compile_private(ctx: _CompileCtx, schedule: RegionSchedule):
+    """Ghost-zone schedules: one private-task group unit per group."""
+    groups = schedule.groups()
+    gids = sorted(groups)
+    stats = PlanStats(tasks=len(schedule.tasks), groups=len(gids))
+    streams: List[list] = []
+    for gid in gids:
+        ptasks = [_compile_private_task(ctx, task) for task in groups[gid]]
+        ptasks = [pt for pt in ptasks if pt is not None]
+        stats.actions += sum(len(pt.actions) for pt in ptasks)
+        streams.append([_PrivateGroup(ptasks)] if ptasks else [])
+    return gids, streams, stats
+
+
+def _compile_table(ctx: _CompileCtx, table: ScheduleTable, redundant: bool,
+                   batch_threshold: int, fuse: bool):
+    """Shared-buffer schedules, lowered pass by pass from the table."""
+    gids = table.group_widths()[0]
+    stats = PlanStats(tasks=table.num_tasks, groups=int(gids.size))
+    # pass 1: drop empty rows
+    keep = np.flatnonzero(np.all(table.hi > table.lo, axis=1))
+    task, t = table.task[keep], table.t[keep]
+    lo, hi = table.lo[keep], table.hi[keep]
+    gi = np.searchsorted(gids, table.group[task])
+    stats.actions = int(keep.size)
+    # pass 2: groups that keep their task order — all of them when
+    # fusion is off or the scheme recomputes points, else those with a
+    # task whose steps go back in time
+    fallback = np.full(gids.size, not fuse or redundant)
+    back = (task[1:] == task[:-1]) & (t[1:] < t[:-1])
+    fallback[gi[1:][back]] = True
+    # pass 3: same-step layers of the other groups (schedule order
+    # inside each) must be write-disjoint, or their group falls back
+    rows = np.flatnonzero(~fallback[gi])
+    rows = rows[np.lexsort((t[rows], gi[rows]))]
+    starts = run_starts(gi[rows], t[rows])
+    sizes = np.diff(np.append(starts, rows.size))
+    bad = overlapping_layers(starts, sizes, lo[rows], hi[rows], ctx.halo,
+                             ctx.strides)
+    fallback[gi[rows[starts[bad]]]] = True
+    ok = ~fallback[gi[rows[starts]]]
+    starts, sizes = starts[ok], sizes[ok]
+    rows = rows[np.repeat(starts, sizes) + ragged_arange(sizes)]
+    starts = np.cumsum(sizes) - sizes
+    # pass 4: fuse every layer of two or more rectangles
+    layer = np.repeat(np.arange(starts.size), sizes)
+    flo, fhi = lo[rows], hi[rows]
+    multi = sizes[layer] >= 2
+    if multi.any():
+        fused = fuse_layers(layer[multi], flo[multi], fhi[multi])
+        layer, flo, fhi = (np.concatenate((col[~multi], new))
+                           for col, new in zip((layer, flo, fhi), fused))
+        order = np.argsort(layer, kind="stable")
+        layer, flo, fhi = layer[order], flo[order], fhi[order]
+    stats.fused_actions = int(rows.size - layer.size)
+
+    streams: List[list] = [[] for _ in range(gids.size)]
+    # task-order groups: one compiled slice per non-empty action, in
+    # exactly execute_schedule's interleaving, geometry hoisted
+    stats.fallback_groups = int(fallback.sum())
+    slow = np.flatnonzero(fallback[gi])
+    for g, step, region in zip(gi[slow].tolist(), t[slow].tolist(),
+                               _regions(lo[slow], hi[slow])):
+        streams[g].append(ctx.slice_unit(step, region))
+    stats.sliced_actions = int(slow.size)
+    _emit_layers(ctx, streams, stats, layer, flo, fhi,
+                 gi[rows[starts]].tolist(), t[rows[starts]].tolist(),
+                 batch_threshold)
+    return gids.tolist(), streams, stats
+
+
+def _emit_layers(ctx: _CompileCtx, streams: List[list], stats: PlanStats,
+                 layer: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 layer_group: List[int], layer_t: List[int],
+                 batch_threshold: int) -> None:
+    """Units of the fused layers, appended to their groups' streams.
+
+    Per layer, in step order: a slice unit per rectangle of at least
+    ``batch_threshold`` points, then one batch of the smaller ones.
+    Without a batched kernel every rectangle is a slice (larges first,
+    then smalls, each in fused order).
+    """
+    nlayers = len(layer_t)
+    # pass 5: split small from large rectangles
+    small = np.prod(hi - lo, axis=1) < batch_threshold
+    batched = small & (ctx.kind in ("linear", "life", "staged"))
+    by_size = np.lexsort((small, layer))
+    sliced = by_size[~batched[by_size]]
+    s_bounds = np.searchsorted(layer[sliced], np.arange(nlayers + 1)).tolist()
+    regions = _regions(lo[sliced], hi[sliced])
+    rows = np.flatnonzero(batched)
+    b_lo, b_hi = lo[rows], hi[rows]
+    b_bounds = np.searchsorted(layer[rows], np.arange(nlayers + 1)).tolist()
+    # pass 6: expand every linear/Life batch's flat indices at once
+    # (staged batches expand their grown regions per stage themselves)
+    idx = ({} if ctx.kind == "staged"
+           else _batch_indices(ctx, b_lo, b_hi, b_bounds))
+    stats.sliced_actions += int(sliced.size)
+    for k in range(nlayers):
+        stream, step = streams[layer_group[k]], layer_t[k]
+        for region in regions[s_bounds[k]:s_bounds[k + 1]]:
+            stream.append(ctx.slice_unit(step, region))
+        a, z = b_bounds[k], b_bounds[k + 1]
+        if z > a:
+            batch = ctx.batch_unit(step, b_lo[a:z], b_hi[a:z], idx.get(k))
+            stream.append(batch)
+            stats.batches += 1
+            stats.batched_actions += z - a
+            stats.index_bytes += batch.idx.nbytes
+
+
+def _batch_indices(ctx: _CompileCtx, lo: np.ndarray, hi: np.ndarray,
+                   bounds: List[int]) -> Dict[int, np.ndarray]:
+    """Flat indices of every batch (rows ``bounds[k]:bounds[k + 1]``),
+    expanded in chunks of about :data:`CHUNK` points."""
+    csum = np.concatenate(([0], np.cumsum(np.prod(hi - lo, axis=1))))
+    has = [k for k in range(len(bounds) - 1) if bounds[k + 1] > bounds[k]]
+    weight = np.diff(csum[bounds])[has]
+    out: Dict[int, np.ndarray] = {}
+    for i, j in chunks(weight):
+        a, z = bounds[has[i]], bounds[has[j - 1] + 1]
+        flat = flat_indices(lo[a:z], hi[a:z], ctx.halo, ctx.strides)
+        out.update(zip(has[i:j], np.split(flat, np.cumsum(weight[i:j])[:-1])))
+    return out
 
 
 def _compile_private_task(ctx: _CompileCtx, task) -> Optional[_PrivateTask]:

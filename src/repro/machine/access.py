@@ -101,8 +101,9 @@ def simulate_schedule_cache(
     gap = ((buf_bytes // machine.cache_line) + 17) * machine.cache_line
     bases = (0, gap)
     line = machine.cache_line
-    for group in sorted(schedule.groups()):
-        for task in schedule.groups()[group]:
+    groups = schedule.groups()
+    for group in sorted(groups):
+        for task in groups[group]:
             for a in task.actions:
                 for start, end, is_write in _row_ranges(
                     spec, schedule.shape, a.region, a.t, itemsize, bases

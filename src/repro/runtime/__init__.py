@@ -35,6 +35,7 @@ from repro.runtime.schedule import (
     RegionAction,
     ScheduledTask,
     RegionSchedule,
+    ScheduleTable,
     execute_schedule,
     schedule_stats,
     verify_schedule,
@@ -81,6 +82,7 @@ __all__ = [
     "RegionAction",
     "ScheduledTask",
     "RegionSchedule",
+    "ScheduleTable",
     "execute_schedule",
     "schedule_stats",
     "verify_schedule",

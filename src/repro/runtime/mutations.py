@@ -23,12 +23,14 @@ undersized ghost band — lives on the distributed path (``dist
 parameter rather than schedule structure.
 
 Mutators never modify their input: schedules are shared between the
-clean and mutated halves of every A/B test.
+clean and mutated halves of every A/B test.  The copy is always built
+task by task (:meth:`RegionSchedule.add`), so the planted bug edits the
+copy's own state — a table-built schedule's tasks are a derived view
+that never feeds back into its table.
 """
 
 from __future__ import annotations
 
-import copy
 import re
 
 from repro.runtime.schedule import RegionSchedule
@@ -38,7 +40,15 @@ MUTATION_KINDS = ("drop-action", "shift-region", "merge-groups")
 
 
 def _copy_schedule(schedule: RegionSchedule) -> RegionSchedule:
-    return copy.deepcopy(schedule)
+    out = RegionSchedule(
+        schedule.scheme, schedule.shape, schedule.steps,
+        private_tasks=schedule.private_tasks, redundant=schedule.redundant,
+        group_sync_cost=schedule.group_sync_cost,
+        task_overhead_factor=schedule.task_overhead_factor,
+    )
+    for task in schedule.tasks:    # actions are frozen: share them
+        out.add(task.group, task.actions, label=task.label)
+    return out
 
 
 def _pick_task(schedule: RegionSchedule, group: int, task: int):

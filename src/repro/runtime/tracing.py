@@ -112,8 +112,9 @@ def traced_execute(spec: StencilSpec, grid: Grid,
     if schedule.private_tasks:
         raise ValueError("tracing supports shared-buffer schedules only")
     trace = ExecutionTrace(scheme=schedule.scheme)
-    for gid in sorted(schedule.groups()):
-        for task in schedule.groups()[gid]:
+    groups = schedule.groups()
+    for gid in sorted(groups):
+        for task in groups[gid]:
             t0 = time.perf_counter()
             pts = 0
             for a in task.actions:

@@ -248,7 +248,12 @@ def test_one_entry_serves_every_backend_unchanged():
         session.run(base, backend="batched", batch=3, seed=2),
         session.run(base, backend="threaded", threads=2, seed=3),
         session.run(base, backend="resilient", threads=2, seed=4),
+        session.run(base, sanitize=True, seed=5),
     ]
+    # the sanitizer, threads and this access build the schedule's
+    # object view; it is derived data and stays out of the pickles
+    assert len(runs[-1].schedule.tasks) == summary["tasks"]
+    assert runs[-1].sanitizer is not None and runs[-1].sanitizer.ok
     for result in runs:
         assert result.plan is plan and result.schedule is plan.schedule
         assert result.stats.verified is True

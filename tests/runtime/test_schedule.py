@@ -112,3 +112,57 @@ class TestStats:
         assert st["required_point_updates"] == 32
         assert st["redundancy"] == 0.0
         assert st["max_group_width"] == 1
+
+
+class TestVerifySchedule:
+    """``verify_schedule`` compares bytes, so one ulp is a failure."""
+
+    @staticmethod
+    def _nudged(monkeypatch, nudge):
+        import repro.runtime.schedule as schedule_mod
+
+        real = schedule_mod._execute_schedule
+
+        def nudged(spec, grid, schedule, budget=None):
+            out = real(spec, grid, schedule, budget=budget)
+            out[(1,) * out.ndim] = nudge(out[(1,) * out.ndim])
+            return out
+
+        monkeypatch.setattr(schedule_mod, "_execute_schedule", nudged)
+
+    def _sched(self):
+        from repro.baselines import naive_schedule
+
+        spec = heat2d()
+        return spec, naive_schedule(spec, (12, 12), 4, chunks=3)
+
+    def test_clean_schedule_verifies(self):
+        from repro.runtime.schedule import verify_schedule
+
+        spec, sched = self._sched()
+        assert verify_schedule(spec, sched) is True
+
+    def test_one_ulp_fails(self, monkeypatch):
+        from repro.runtime.schedule import verify_schedule
+
+        spec, sched = self._sched()
+        self._nudged(monkeypatch, lambda v: np.nextafter(v, np.inf))
+        assert verify_schedule(spec, sched) is False
+
+    def test_flipped_life_cell_fails(self, monkeypatch):
+        from repro.baselines import naive_schedule
+        from repro.runtime.schedule import verify_schedule
+        from repro.stencils import get_stencil
+
+        spec = get_stencil("life")
+        sched = naive_schedule(spec, (12, 12), 4, chunks=3)
+        self._nudged(monkeypatch, lambda v: 1 - v)
+        assert verify_schedule(spec, sched) is False
+
+    def test_no_tolerance_parameters(self):
+        import inspect
+
+        from repro.runtime.schedule import verify_schedule
+
+        params = inspect.signature(verify_schedule).parameters
+        assert "rtol" not in params and "atol" not in params
