@@ -59,7 +59,11 @@ import numpy as np
 
 from repro import get_stencil
 from repro.api import RunConfig, Session
-from repro.perf.wallclock import interleaved_medians
+from repro.perf.wallclock import (
+    check_regression,
+    env_fingerprint,
+    interleaved_medians,
+)
 
 SCHEMA = "bench-batch/1"
 
@@ -73,20 +77,6 @@ WORKLOADS = [
 #: which Ns the quick mode runs (a subset of the full rows, so quick
 #: runs are checkable against the committed full baseline)
 QUICK_NS = (1, 8)
-
-
-def env_fingerprint():
-    """The measurement environment: enough to spot stale baselines."""
-    return {
-        "numpy": np.__version__,
-        "cpus": os.cpu_count(),
-        "threads_env": {
-            k: os.environ[k]
-            for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                      "MKL_NUM_THREADS")
-            if k in os.environ
-        },
-    }
 
 
 def bench_workload(name, kernel, shape, steps, b, n, repeat, warmup):
@@ -142,43 +132,6 @@ def _annotate_vs_n1(rows):
             row["batched_ips"] / base if base else 0.0)
 
 
-def check_regression(rows, env, baseline_path, tolerance):
-    with open(baseline_path) as fh:
-        base = json.load(fh)
-    base_env = base.get("env")
-    if base_env is not None and base_env != env:
-        print(f"WARNING: environment fingerprint differs from "
-              f"{baseline_path}: baseline {base_env}, current {env} "
-              f"(speedup ratios are still compared; absolute numbers "
-              f"are not comparable)", file=sys.stderr)
-    base_rows = {_row_key(r): r for r in base.get("rows", [])}
-    compared, failures = 0, []
-    for row in rows:
-        ref = base_rows.get(_row_key(row))
-        if ref is None:
-            continue
-        compared += 1
-        floor = (1.0 - tolerance) * ref["speedup"]
-        if row["speedup"] < floor:
-            failures.append(
-                f"  {row['name']} (n={row['n']}): speedup "
-                f"{row['speedup']:.2f}x < {floor:.2f}x "
-                f"(baseline {ref['speedup']:.2f}x - {tolerance:.0%})")
-    if compared == 0:
-        print(f"regression check: no rows in common with {baseline_path}",
-              file=sys.stderr)
-        return False
-    if failures:
-        print(f"regression check FAILED vs {baseline_path}:",
-              file=sys.stderr)
-        for f in failures:
-            print(f, file=sys.stderr)
-        return False
-    print(f"regression check OK: {compared} row(s) within "
-          f"{tolerance:.0%} of {baseline_path}")
-    return True
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
@@ -229,7 +182,8 @@ def main(argv=None):
         print("FAILED: batched results are not bit-identical",
               file=sys.stderr)
     if args.check:
-        ok = check_regression(rows, env, args.check, args.tolerance) and ok
+        ok = check_regression(rows, args.check, args.tolerance, _row_key,
+                              env=env) and ok
     return 0 if ok else 1
 
 

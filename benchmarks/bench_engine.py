@@ -49,31 +49,21 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-import numpy as np
-
 from repro import Grid, get_stencil, make_lattice
 from repro.core.schedules import tess_schedule
 from repro.engine import PlanCache
-from repro.perf.wallclock import interleaved_medians
+from repro.perf.wallclock import (
+    check_regression,
+    env_fingerprint,
+    interleaved_medians,
+    restored,
+)
 from repro.runtime.schedule import _execute_schedule
 from repro.runtime.threadpool import _execute_threaded
 from repro.stencils.reference import reference_sweep
 
 SCHEMA = "bench-engine/1"
 
-
-def env_fingerprint():
-    """The measurement environment: enough to spot stale baselines."""
-    return {
-        "numpy": np.__version__,
-        "cpus": os.cpu_count(),
-        "threads_env": {
-            k: os.environ[k]
-            for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                      "MKL_NUM_THREADS")
-            if k in os.environ
-        },
-    }
 
 #: (name, kernel, shape, steps, b, merged, threads, quick)
 WORKLOADS = [
@@ -85,15 +75,6 @@ WORKLOADS = [
     ("fig9-life", "life", (256, 256), 16, 4, False, 1, False),
     ("fig10-heat2d-t4", "heat2d", (384, 384), 24, 4, False, 4, False),
 ]
-
-
-def _restored(grid, init, fn):
-    def run():
-        for dst, src in zip(grid.buffers, init):
-            np.copyto(dst, src)
-        return fn()
-
-    return run
 
 
 def bench_workload(name, kernel, shape, steps, b, merged, threads,
@@ -113,21 +94,21 @@ def bench_workload(name, kernel, shape, steps, b, merged, threads,
     if threads == 1:
         from repro.engine.plan import _execute_plan
 
-        naive_fn = _restored(g_naive, init,
-                             lambda: _execute_schedule(spec, g_naive, sched))
-        comp_fn = _restored(g_comp, init,
-                            lambda: _execute_plan(plan, g_comp))
+        naive_fn = restored(g_naive, init,
+                            lambda: _execute_schedule(spec, g_naive, sched))
+        comp_fn = restored(g_comp, init,
+                           lambda: _execute_plan(plan, g_comp))
     else:
-        naive_fn = _restored(
+        naive_fn = restored(
             g_naive, init,
             lambda: _execute_threaded(spec, g_naive, sched,
                                       num_threads=threads))
-        comp_fn = _restored(
+        comp_fn = restored(
             g_comp, init,
             lambda: _execute_threaded(spec, g_comp, sched,
                                       num_threads=threads, plan=plan))
-    sweep_fn = _restored(g_sweep, init,
-                         lambda: reference_sweep(spec, g_sweep, steps))
+    sweep_fn = restored(g_sweep, init,
+                        lambda: reference_sweep(spec, g_sweep, steps))
 
     (naive_s, naive_out), (comp_s, comp_out), (sweep_s, sweep_out) = \
         interleaved_medians((naive_fn, comp_fn, sweep_fn), repeat, warmup)
@@ -162,43 +143,6 @@ def bench_workload(name, kernel, shape, steps, b, merged, threads,
 
 def _row_key(row):
     return (row["name"], row["threads"])
-
-
-def check_regression(rows, baseline_path, tolerance, env=None):
-    with open(baseline_path) as fh:
-        base = json.load(fh)
-    base_env = base.get("env")
-    if env is not None and base_env is not None and base_env != env:
-        print(f"WARNING: environment fingerprint differs from "
-              f"{baseline_path}: baseline {base_env}, current {env} "
-              f"(speedup ratios are still compared; absolute numbers "
-              f"are not comparable)", file=sys.stderr)
-    base_rows = {_row_key(r): r for r in base.get("rows", [])}
-    compared, failures = 0, []
-    for row in rows:
-        ref = base_rows.get(_row_key(row))
-        if ref is None:
-            continue
-        compared += 1
-        floor = (1.0 - tolerance) * ref["speedup"]
-        if row["speedup"] < floor:
-            failures.append(
-                f"  {row['name']} (threads={row['threads']}): speedup "
-                f"{row['speedup']:.2f}x < {floor:.2f}x "
-                f"(baseline {ref['speedup']:.2f}x - {tolerance:.0%})")
-    if compared == 0:
-        print(f"regression check: no rows in common with {baseline_path}",
-              file=sys.stderr)
-        return False
-    if failures:
-        print(f"regression check FAILED vs {baseline_path}:",
-              file=sys.stderr)
-        for f in failures:
-            print(f, file=sys.stderr)
-        return False
-    print(f"regression check OK: {compared} row(s) within "
-          f"{tolerance:.0%} of {baseline_path}")
-    return True
 
 
 def main(argv=None):
@@ -253,7 +197,7 @@ def main(argv=None):
         print("FAILED: compiled results are not bit-identical",
               file=sys.stderr)
     if args.check:
-        ok = check_regression(rows, args.check, args.tolerance,
+        ok = check_regression(rows, args.check, args.tolerance, _row_key,
                               env=env) and ok
     return 0 if ok else 1
 

@@ -1,8 +1,8 @@
 """Schedule-sanitizer pre-flight overhead (ISSUE 2).
 
 Measures what ``--sanitize`` costs on the happy path: points/sec of a
-threaded run with and without the structural pre-flight, across
-growing problem sizes.  Not a paper figure; this quantifies the
+threaded ``Session.execute`` run with and without the structural
+pre-flight, across growing problem sizes.  Not a paper figure; this quantifies the
 engineering trade-off recorded in ``docs/sanitizer.md`` and guards
 the sanitizer's near-linear complexity — the axis-sorted bounding-box
 sweep must examine O(tasks log tasks) candidate pairs, not the
@@ -12,12 +12,10 @@ quadratic all-pairs count.
 import math
 import time
 
-import numpy as np
-
 from repro import Grid, get_stencil, make_lattice
+from repro.api import Session
 from repro.core.schedules import tess_schedule
 from repro.runtime import sanitize_schedule
-from repro.runtime.threadpool import _execute_threaded
 
 B = 4
 STEPS = 8
@@ -35,12 +33,13 @@ def test_sanitizer_preflight_overhead(benchmark, capsys):
     """Points/sec with and without the --sanitize pre-flight."""
     spec, shape, sched = _build(4000)
     points = sched.total_points()
+    session = Session(spec)
 
     def run(sanitize):
         grid = Grid(spec, shape, seed=0)
         t0 = time.perf_counter()
-        _execute_threaded(spec, grid, sched, num_threads=2,
-                         sanitize=sanitize)
+        session.execute(grid, sched, backend="threaded", threads=2,
+                        sanitize=sanitize)
         return time.perf_counter() - t0
 
     plain = benchmark.pedantic(lambda: run(False), rounds=1, iterations=1)

@@ -61,26 +61,17 @@ from repro.api import RunConfig, Session
 from repro.core.schedules import tess_schedule
 from repro.engine import PlanCache
 from repro.engine.plan import _execute_plan
-from repro.perf.wallclock import interleaved_medians
+from repro.perf.wallclock import (
+    check_regression,
+    env_fingerprint,
+    interleaved_medians,
+    restored,
+)
 from repro.runtime.schedule import _execute_schedule
 from repro.stencils.reference import reference_sweep
 from repro.stencils.systems import get_system
 
 SCHEMA = "bench-stages/1"
-
-
-def env_fingerprint():
-    """The measurement environment: enough to spot stale baselines."""
-    return {
-        "numpy": np.__version__,
-        "cpus": os.cpu_count(),
-        "threads_env": {
-            k: os.environ[k]
-            for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                      "MKL_NUM_THREADS")
-            if k in os.environ
-        },
-    }
 
 
 #: (name, system, shape, steps, b, quick)
@@ -98,15 +89,6 @@ BATCH_WORKLOADS = [
     ("fdtd2d-batch8", "fdtd2d", (96, 96), 12, 4, 8, False),
     ("fdtd2d-batch4-quick", "fdtd2d", (48, 48), 8, 4, 4, True),
 ]
-
-
-def _restored(grid, init, fn):
-    def run():
-        for dst, src in zip(grid.buffers, init):
-            np.copyto(dst, src)
-        return fn()
-
-    return run
 
 
 def _initial_grid(spec, shape):
@@ -143,11 +125,11 @@ def bench_workload(name, system, shape, steps, b, cache, repeat, warmup):
 
     (naive_s, naive_out), (sweep_s, sweep_out), (comp_s, comp_out) = \
         interleaved_medians((
-            _restored(g_naive, init,
-                      lambda: _execute_schedule(spec, g_naive, sched)),
-            _restored(g_sweep, init,
-                      lambda: reference_sweep(spec, g_sweep, steps)),
-            _restored(g_comp, init, lambda: _execute_plan(plan, g_comp)),
+            restored(g_naive, init,
+                     lambda: _execute_schedule(spec, g_naive, sched)),
+            restored(g_sweep, init,
+                     lambda: reference_sweep(spec, g_sweep, steps)),
+            restored(g_comp, init, lambda: _execute_plan(plan, g_comp)),
         ), repeat, warmup)
     identical = bool(
         naive_out.tobytes() == comp_out.tobytes()
@@ -219,43 +201,6 @@ def _row_key(row):
     return (row["mode"], row["name"])
 
 
-def check_regression(rows, baseline_path, tolerance, env=None):
-    with open(baseline_path) as fh:
-        base = json.load(fh)
-    base_env = base.get("env")
-    if env is not None and base_env is not None and base_env != env:
-        print(f"WARNING: environment fingerprint differs from "
-              f"{baseline_path}: baseline {base_env}, current {env} "
-              f"(speedup ratios are still compared; absolute numbers "
-              f"are not comparable)", file=sys.stderr)
-    base_rows = {_row_key(r): r for r in base.get("rows", [])}
-    compared, failures = 0, []
-    for row in rows:
-        ref = base_rows.get(_row_key(row))
-        if ref is None:
-            continue
-        compared += 1
-        floor = (1.0 - tolerance) * ref["speedup"]
-        if row["speedup"] < floor:
-            failures.append(
-                f"  {row['name']}: speedup {row['speedup']:.2f}x < "
-                f"{floor:.2f}x (baseline {ref['speedup']:.2f}x "
-                f"- {tolerance:.0%})")
-    if compared == 0:
-        print(f"regression check: no rows in common with {baseline_path}",
-              file=sys.stderr)
-        return False
-    if failures:
-        print(f"regression check FAILED vs {baseline_path}:",
-              file=sys.stderr)
-        for f in failures:
-            print(f, file=sys.stderr)
-        return False
-    print(f"regression check OK: {compared} row(s) within "
-          f"{tolerance:.0%} of {baseline_path}")
-    return True
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
@@ -316,7 +261,7 @@ def main(argv=None):
     if not ok:
         print("FAILED: results are not bit-identical", file=sys.stderr)
     if args.check:
-        ok = check_regression(rows, args.check, args.tolerance,
+        ok = check_regression(rows, args.check, args.tolerance, _row_key,
                               env=env) and ok
     return 0 if ok else 1
 

@@ -34,8 +34,6 @@ from repro.core import (
     AxisProfile,
     TessLattice,
     make_lattice,
-    run_blocked,
-    run_merged,
     run_pointwise,
 )
 from repro.api import (
@@ -46,7 +44,7 @@ from repro.api import (
     run,
 )
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Grid",
@@ -62,8 +60,6 @@ __all__ = [
     "AxisProfile",
     "TessLattice",
     "make_lattice",
-    "run_blocked",
-    "run_merged",
     "run_pointwise",
     "RunConfig",
     "RunResult",

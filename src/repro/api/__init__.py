@@ -16,9 +16,10 @@ Entry points:
   family behind one :class:`Backend` protocol.
 
 See ``docs/architecture.md`` for the full pipeline diagram and schema
-reference.  The historical entry points (``execute_schedule``,
-``execute_threaded``, ``run_blocked``, ...) still work but are
-deprecation shims over this module.
+reference.  :class:`Session` is the only way into an executor: the
+eight 1.x entry points (``execute_schedule``, ``run_blocked``, ...)
+were removed in 2.0.0 (``docs/CHANGELOG.md`` maps each to its
+:func:`run` call).
 """
 
 from repro.api.backends import (
@@ -38,7 +39,6 @@ from repro.api.config import (
     normalize_backend,
     normalize_engine,
 )
-from repro.api.deprecation import warn_legacy
 from repro.api.driver import drive_groups, phase_windows, run_actions
 from repro.api.fallback import run_with_fallback
 from repro.api.session import Session, execute, run
@@ -80,5 +80,4 @@ __all__ = [
     "run",
     "run_actions",
     "run_with_fallback",
-    "warn_legacy",
 ]

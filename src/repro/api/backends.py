@@ -108,6 +108,10 @@ class Backend:
             return ("lattice executors walk single-field buffers; staged "
                     "systems run on the schedule backends (serial, "
                     "compiled, batched, threaded, resilient)")
+        if self.kind == "lattice" and config.mutations:
+            return ("lattice executors walk the lattice, not a built "
+                    "schedule, so planted schedule mutations would be "
+                    "dropped; use a schedule backend")
         if self.schemes is not None and config.scheme not in self.schemes:
             return (f"scheme {config.scheme!r} not supported "
                     f"(supports: {sorted(self.schemes)})")
@@ -177,9 +181,7 @@ class SerialBackend(Backend):
         if ctx.plan is not None:
             from repro.engine.plan import _execute_plan
 
-            out = _execute_plan(ctx.plan, ctx.grid,
-                                arena=ctx.config.options.get("arena"),
-                                budget=ctx.budget)
+            out = _execute_plan(ctx.plan, ctx.grid, budget=ctx.budget)
         else:
             from repro.runtime.schedule import _execute_schedule
 
@@ -208,9 +210,7 @@ class CompiledBackend(Backend):
     def execute(self, ctx: ExecutionContext) -> BackendOutcome:
         from repro.engine.plan import _execute_plan
 
-        out = _execute_plan(ctx.plan, ctx.grid,
-                            arena=ctx.config.options.get("arena"),
-                            budget=ctx.budget)
+        out = _execute_plan(ctx.plan, ctx.grid, budget=ctx.budget)
         return BackendOutcome(interior=out)
 
 
@@ -259,9 +259,7 @@ class BatchedBackend(Backend):
         grids = (list(ctx.batch_grids) if ctx.batch_grids is not None
                  else [ctx.grid])
         bgrid = stack_grids(ctx.spec, grids)
-        _execute_plan_batched(bgrid=bgrid, plan=ctx.plan,
-                              arena=ctx.config.options.get("arena"),
-                              budget=ctx.budget)
+        _execute_plan_batched(bgrid=bgrid, plan=ctx.plan, budget=ctx.budget)
         # both parities go back so member grids are checkpointable and
         # per-instance interiors alias their own buffers, exactly as a
         # single-instance run would leave them
@@ -297,16 +295,12 @@ class ResilientBackend(Backend):
     consumes_plan = True
 
     def execute(self, ctx: ExecutionContext) -> BackendOutcome:
-        from repro.runtime.resilience import (
-            ResiliencePolicy,
-            _execute_resilient,
-        )
+        from repro.runtime.resilience import _execute_resilient
 
         cfg = ctx.config
-        policy = cfg.resilience or ResiliencePolicy()
         out, report = _execute_resilient(
             ctx.spec, ctx.grid, ctx.schedule,
-            policy=policy,
+            policy=cfg.resilience,
             fault_plan=cfg.fault_plan,
             num_threads=max(1, cfg.threads),
             trace=ctx.trace,
@@ -352,65 +346,58 @@ class OverlappedBackend(Backend):
 _TESS_FAMILY = frozenset({"tess", "tess-unmerged"})
 
 
-class PointwiseBackend(Backend):
+class _LatticeBaseline(Backend):
+    """A baseline lattice walker: no schedule, so no pre-flight."""
+
+    kind = "lattice"
+    schemes = _TESS_FAMILY
+
+    def supports(self, spec, config, schedule=None) -> Optional[str]:
+        if config.sanitize:
+            return ("no sanitizer pre-flight: this baseline walks the "
+                    "lattice without the schedule the sanitizer checks; "
+                    "use a schedule backend or 'distributed'")
+        return super().supports(spec, config, schedule)
+
+
+class PointwiseBackend(_LatticeBaseline):
     """Mask-oracle tessellation executor (the only periodic-capable one)."""
 
     name = "baseline:pointwise"
-    kind = "lattice"
-    schemes = _TESS_FAMILY
     handles_periodic = True
 
     def execute(self, ctx: ExecutionContext) -> BackendOutcome:
         from repro.core.pointwise import run_pointwise
 
-        opts = ctx.config.options
         out = run_pointwise(ctx.spec, ctx.grid, ctx.lattice,
-                            ctx.config.steps,
-                            t0=opts.get("t0", 0),
-                            on_update=opts.get("on_update"),
-                            validate=opts.get("validate", True),
-                            budget=ctx.budget)
+                            ctx.config.steps, budget=ctx.budget)
         return BackendOutcome(interior=out)
 
 
-class BlockedBackend(Backend):
+class BlockedBackend(_LatticeBaseline):
     """Unmerged §3 phase/stage block executor."""
 
     name = "baseline:blocked"
-    kind = "lattice"
-    schemes = _TESS_FAMILY
 
     def execute(self, ctx: ExecutionContext) -> BackendOutcome:
         from repro.core.executor import _run_blocked
 
-        opts = ctx.config.options
         out = _run_blocked(ctx.spec, ctx.grid, ctx.lattice,
-                           ctx.config.steps,
-                           t0=opts.get("t0", 0),
-                           plan=opts.get("phase_plan"),
-                           on_block=opts.get("on_block"),
-                           validate=opts.get("validate", True),
-                           budget=ctx.budget)
+                           ctx.config.steps, budget=ctx.budget)
         return BackendOutcome(interior=out)
 
 
-class MergedBackend(Backend):
+class MergedBackend(_LatticeBaseline):
     """§4.3 merged (``B_d`` + ``B_0``) block executor."""
 
     name = "baseline:merged"
-    kind = "lattice"
     schemes = frozenset({"tess"})
 
     def execute(self, ctx: ExecutionContext) -> BackendOutcome:
         from repro.core.executor import _run_merged
 
-        opts = ctx.config.options
         out = _run_merged(ctx.spec, ctx.grid, ctx.lattice,
-                          ctx.config.steps,
-                          t0=opts.get("t0", 0),
-                          on_block=opts.get("on_block"),
-                          validate=opts.get("validate", True),
-                          budget=ctx.budget)
+                          ctx.config.steps, budget=ctx.budget)
         return BackendOutcome(interior=out)
 
 
@@ -434,7 +421,6 @@ class DistributedBackend(Backend):
             max_phase_restarts=cfg.max_phase_restarts,
             ghost_override=cfg.ghost,
             trace=ctx.trace,
-            sanitize=cfg.sanitize,
             budget=ctx.budget,
         )
         return BackendOutcome(interior=out, comm=stats)
@@ -458,7 +444,6 @@ class ElasticBackend(Backend):
             config=cfg.elastic,
             ghost_override=cfg.ghost,
             trace=ctx.trace,
-            sanitize=cfg.sanitize,
             budget=ctx.budget,
         )
         return BackendOutcome(interior=out, comm=stats)

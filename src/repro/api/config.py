@@ -1,10 +1,9 @@
 """RunConfig — the one flag set of the unified execution pipeline.
 
-Every knob the eight historical entry points spread over divergent
-signatures (scheme and tile parameters, engine selection, thread
-count, sanitizer pre-flight, resilience policy, fault plan, distributed
-topology, elastic runtime tuning) lives here once.  The CLI, the
-autotuner, the bench harness and the examples all build a
+Every knob of a run (scheme and tile parameters, engine selection,
+thread count, sanitizer pre-flight, resilience policy, fault plan,
+distributed topology, elastic runtime tuning) lives here once.  The
+CLI, the autotuner, the bench harness and the examples all build a
 :class:`RunConfig` and hand it to :func:`repro.api.run` /
 :class:`repro.api.Session`.
 
@@ -15,7 +14,7 @@ keep working while the canonical pair is ``backend``/``engine``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
@@ -132,10 +131,8 @@ class RunConfig:
     #: the exact pre-QoS code path (zero-overhead default).
     qos: Any = None
 
-    # -- instrumentation / escape hatch ------------------------------
+    # -- instrumentation ---------------------------------------------
     trace: Any = None  #: Optional[ExecutionTrace]
-    #: backend-specific extras (``t0``, ``on_block``, ``arena``, ...)
-    options: Dict[str, Any] = field(default_factory=dict)
 
     # ----------------------------------------------------------------
 
@@ -187,7 +184,7 @@ class RunConfig:
         This is the serving front's job-spec format: everything a
         remote caller can ask for survives the round trip; the live
         in-process objects (``resilience``, ``fault_plan``, ``elastic``,
-        ``trace``, ``options`` and the QoS cancel token) do not — a
+        ``trace`` and the QoS cancel token) do not — a
         service attaches its own.  Of the QoS policy, the declarative
         scalars (deadline, memory ceiling, fallback chain) are kept.
         """

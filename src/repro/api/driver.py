@@ -21,7 +21,7 @@ group's still-pending futures are cancelled, running futures are
 joined (so no worker is still writing the buffers), and a structured
 :class:`~repro.runtime.errors.ExecutionError` naming the failing task
 and group is raised.  The sequential path propagates the raw exception
-unchanged, matching the historical ``execute_schedule`` contract.
+unchanged, matching the ``serial`` backend's contract.
 
 This module deliberately imports nothing from :mod:`repro.runtime`
 except the error type, so the runtime modules can import it without a

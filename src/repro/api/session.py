@@ -12,14 +12,16 @@ builder and exposes the pipeline at three levels:
 * :meth:`Session.run` — everything from a :class:`RunConfig` (build,
   sanitize, lower, execute, verify);
 * :meth:`Session.execute` — run prebuilt artifacts (schedule, lattice,
-  plan) through a backend; this is what the legacy entry-point shims
-  delegate to;
+  plan) through a backend;
 * :meth:`Session.build` / :meth:`Session.lower` — the individual
   stages, for callers (autotuner, benchmarks) that reuse artifacts
   across many runs.
 
 Module-level :func:`run` / :func:`execute` are one-shot conveniences
 that create a throwaway session.
+
+The session is the only way into an executor and the only place the
+sanitizer pre-flight runs (:meth:`Session._sanitize`).
 
 Build once per configuration: a run that lowers to a compiled plan
 first looks its configuration up in the plan cache
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -59,11 +61,6 @@ from repro.stencils.grid import Grid
 from repro.stencils.spec import StencilSpec
 
 __all__ = ["Session", "run", "execute"]
-
-#: backends whose pooled task runners need the plan's per-group units
-#: materialised up front (lazy materialisation inside worker threads
-#: would race on the plan's internal cache)
-_POOLED_BACKENDS = ("threaded", "resilient")
 
 
 class Session:
@@ -277,6 +274,23 @@ class Session:
         if reason is not None:
             raise BackendUnsupported(backend.name, reason)
 
+        trace = config.trace
+        if trace is None and backend.name in ("resilient", "distributed",
+                                              "elastic"):
+            from repro.runtime.tracing import ExecutionTrace
+
+            trace = ExecutionTrace(scheme=config.scheme)
+
+        # sanitize ------------------------------------------------------
+        sanitizer_report = None
+        if config.sanitize and (schedule is not None
+                                or backend.kind == "lattice"):
+            t0 = time.perf_counter()
+            sanitizer_report = self._sanitize(config, backend, schedule,
+                                              lattice, trace)
+            phases["sanitize"] = time.perf_counter() - t0
+            sanitizer_report.raise_if_violations()
+
         if grid is None:
             grid = Grid(spec, tuple(shape), init="random", seed=config.seed)
         if (backend.name == "batched" and batch_grids is None
@@ -288,17 +302,6 @@ class Session:
                      seed=config.seed + i)
                 for i in range(1, config.batch)
             ]
-
-        # sanitize ------------------------------------------------------
-        sanitizer_report = None
-        if config.sanitize and backend.kind == "schedule" \
-                and schedule is not None:
-            from repro.runtime.sanitizer import sanitize_schedule
-
-            t0 = time.perf_counter()
-            sanitizer_report = sanitize_schedule(spec, schedule)
-            phases["sanitize"] = time.perf_counter() - t0
-            sanitizer_report.raise_if_violations()
 
         # lower ---------------------------------------------------------
         if engine == "compiled" and plan is None:
@@ -315,18 +318,8 @@ class Session:
                 lattice=lattice, schedule_stats=sched_stats)
             delta = cache_delta(before, self.cache.stats.as_dict())
             phases["lower"] = time.perf_counter() - t0
-        if plan is not None and backend.name in _POOLED_BACKENDS:
-            # materialise per-group units before any pool thread runs
-            for gi in range(len(plan.group_ids)):
-                plan.task_units(gi)
 
         # execute -------------------------------------------------------
-        trace = config.trace
-        if trace is None and backend.name in ("resilient", "distributed",
-                                              "elastic"):
-            from repro.runtime.tracing import ExecutionTrace
-
-            trace = ExecutionTrace(scheme=config.scheme)
         snapshot = grid.copy() if config.verify else None
         ctx = ExecutionContext(spec=spec, grid=grid, config=config,
                                schedule=schedule, lattice=lattice,
@@ -363,6 +356,30 @@ class Session:
                          config=config, grid=grid, schedule=schedule,
                          lattice=lattice, plan=plan,
                          sanitizer=sanitizer_report)
+
+    def _sanitize(self, config: RunConfig, backend: Backend, schedule,
+                  lattice, trace):
+        """The pre-flight (Theorems 3.5/3.6): the built schedule, or for
+        lattice backends the rank-local plan with its ghost band.  The
+        trace gets one ``sanitize`` event plus one per violation."""
+        from repro.runtime import sanitizer
+
+        if backend.kind == "lattice":
+            report = sanitizer.sanitize_distributed_plan(
+                self.spec, lattice, config.steps, config.ranks,
+                axis=config.axis, ghost=config.ghost)
+        else:
+            report = sanitizer.sanitize_schedule(self.spec, schedule)
+        if trace is not None:
+            trace.record_event(
+                "sanitize", 0, seconds=report.seconds,
+                detail=f"{len(report.violations)} violation(s), "
+                       f"{report.actions_checked} action(s)")
+            for v in report.violations:
+                trace.record_event(
+                    "violation", v.group if v.group is not None else -1,
+                    label=v.task or "", detail=v.describe())
+        return report
 
     @staticmethod
     def _resolve_engine(config: RunConfig, backend: Backend) -> str:

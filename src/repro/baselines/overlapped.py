@@ -17,7 +17,7 @@ each tile *private* storage (GPU shared memory, per-thread scratch);
 :func:`execute_overlapped` reproduces that: per time tile, every task
 first snapshots its input bounding box, iterates privately, and writes
 back only its core.  The generic
-:func:`repro.runtime.schedule.execute_schedule` refuses schedules
+:func:`repro.runtime.schedule._execute_schedule` refuses schedules
 flagged private.
 """
 

@@ -4,7 +4,7 @@ Checkpointing at every barrier group minimises replay work after a
 failure but pays one buffer-pair copy per group; long intervals
 amortise the copies but replay more groups on restore.  This
 experiment quantifies the trade-off on the real NumPy substrate:
-wall-clock of :func:`~repro.runtime.resilience.execute_resilient`
+wall-clock of :func:`~repro.runtime.resilience._execute_resilient`
 across cadences, relative to the plain sequential executor, plus the
 measured replay cost of one injected late-group fault per cadence.
 """

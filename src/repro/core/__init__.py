@@ -23,7 +23,7 @@ Layered bottom-up:
 from repro.core.profiles import AxisProfile, TessLattice
 from repro.core.blocks import TessBlock, StagePlan, PhasePlan, build_phase_plan
 from repro.core.pointwise import run_pointwise
-from repro.core.executor import make_lattice, run_blocked, run_merged
+from repro.core.executor import make_lattice
 
 __all__ = [
     "AxisProfile",
@@ -34,6 +34,4 @@ __all__ = [
     "build_phase_plan",
     "run_pointwise",
     "make_lattice",
-    "run_blocked",
-    "run_merged",
 ]

@@ -14,7 +14,7 @@ Generated code is specialised at generation time: dimension count,
 slopes, stage subsets and dilation directions are unrolled into
 straight-line bound computations, exactly the specialisation a C code
 generator would perform.  The test-suite validates generated executors
-bit-for-bit against :func:`repro.core.executor.run_blocked`.
+bit-for-bit against :func:`repro.core.executor._run_blocked`.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def run_generated(
     The lattice (or ``b``/``core_widths``) fixes the tessellation
     parameters exactly as :func:`repro.core.executor.make_lattice`
     would; the generated driver performs the same updates as
-    :func:`repro.core.executor.run_blocked`.
+    :func:`repro.core.executor._run_blocked`.
     """
     if spec.is_periodic:
         raise ValueError("generated drivers support Dirichlet boundaries")

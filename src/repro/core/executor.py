@@ -1,12 +1,12 @@
 """Block-level tessellation executors.
 
-Two executors drive the rectangle-per-step block schedule of
-:mod:`repro.core.blocks`:
+Two executors (the ``baseline:*`` backends) drive the rectangle-per-step
+block schedule of :mod:`repro.core.blocks`:
 
-* :func:`run_blocked` — the plain phase/stage structure of §3: per
+* :func:`_run_blocked` — the plain phase/stage structure of §3: per
   phase, stages ``0..d`` in order (barrier after each), every block of
   a stage independent.
-* :func:`run_merged` — §4.3: the last stage of each phase and the first
+* :func:`_run_merged` — §4.3: the last stage of each phase and the first
   stage of the next are fused into one task per block (the
   ``B_d + B_0`` (d+1)-dimensional diamond), alternating lattice levels
   between phases exactly like the artifact code's ``level = 1 - level``.
@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.blocks import PhasePlan, TessBlock, build_phase_plan
+from repro.core.blocks import TessBlock, build_phase_plan
 from repro.core.pointwise import check_lattice
 from repro.core.profiles import AxisProfile, TessLattice
 from repro.stencils.grid import Grid
@@ -132,7 +132,6 @@ def _run_blocked(
     lattice: TessLattice,
     steps: int,
     t0: int = 0,
-    plan: Optional[PhasePlan] = None,
     on_block: Optional[BlockHook] = None,
     validate: bool = True,
     budget=None,
@@ -150,8 +149,7 @@ def _run_blocked(
     check_lattice(spec, grid, lattice)
     if validate:
         lattice.validate()
-    if plan is None:
-        plan = build_phase_plan(lattice, _lattice_slopes(lattice))
+    plan = build_phase_plan(lattice, _lattice_slopes(lattice))
     b = lattice.b
     slopes = _lattice_slopes(lattice)
     t_end = t0 + steps
@@ -165,34 +163,6 @@ def _run_blocked(
                        f"stage{stage_plan.stage}", b, slopes, tt, span,
                        on_block)
     return grid.interior(t_end)
-
-
-def run_blocked(
-    spec: StencilSpec,
-    grid: Grid,
-    lattice: TessLattice,
-    steps: int,
-    t0: int = 0,
-    plan: Optional[PhasePlan] = None,
-    on_block: Optional[BlockHook] = None,
-    validate: bool = True,
-) -> np.ndarray:
-    """Advance ``grid`` by ``steps`` with the unmerged block schedule.
-
-    Returns the interior view at time ``t0 + steps``.
-
-    .. deprecated:: use ``repro.api.run`` / ``Session.execute`` with
-       ``backend="baseline:blocked"`` instead.
-    """
-    from repro.api import RunConfig, Session, warn_legacy
-
-    warn_legacy("run_blocked", "repro.api.run(backend='baseline:blocked')")
-    config = RunConfig(backend="baseline:blocked", engine="naive",
-                       scheme="tess-unmerged", steps=steps,
-                       options={"t0": t0, "phase_plan": plan,
-                                "on_block": on_block, "validate": validate})
-    result = Session(spec).execute(grid, config=config, lattice=lattice)
-    return result.interior
 
 
 def _merged_bases(lattice: TessLattice) -> List[Tuple[Tuple[int, int], ...]]:
@@ -213,7 +183,9 @@ def _run_merged(
     validate: bool = True,
     budget=None,
 ) -> np.ndarray:
-    """Merged block walk (the ``baseline:merged`` backend's engine)."""
+    """Merged block walk (the ``baseline:merged`` backend's engine);
+    needs the merging condition (plateau width == core width), which
+    :func:`make_lattice` guarantees by default."""
     from repro.api.driver import phase_windows
 
     if steps < 0:
@@ -274,32 +246,3 @@ def _run_merged(
                 on_block("merged", tt, bd, n)
         level = 1 - level
     return grid.interior(t_end)
-
-
-def run_merged(
-    spec: StencilSpec,
-    grid: Grid,
-    lattice: TessLattice,
-    steps: int,
-    t0: int = 0,
-    on_block: Optional[BlockHook] = None,
-    validate: bool = True,
-) -> np.ndarray:
-    """Advance ``grid`` with the §4.3 merged (``B_d``+``B_0``) schedule.
-
-    Uses two alternating lattice levels; requires the lattice to
-    satisfy the merging condition (plateau width == core width), which
-    :func:`make_lattice` guarantees by default.
-
-    .. deprecated:: use ``repro.api.run`` / ``Session.execute`` with
-       ``backend="baseline:merged"`` instead.
-    """
-    from repro.api import RunConfig, Session, warn_legacy
-
-    warn_legacy("run_merged", "repro.api.run(backend='baseline:merged')")
-    config = RunConfig(backend="baseline:merged", engine="naive",
-                       scheme="tess", steps=steps,
-                       options={"t0": t0, "on_block": on_block,
-                                "validate": validate})
-    result = Session(spec).execute(grid, config=config, lattice=lattice)
-    return result.interior

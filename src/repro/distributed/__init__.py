@@ -26,22 +26,20 @@ This subpackage builds that plan on the simulated substrate:
 """
 
 from repro.distributed.partition import SlabPartition, build_ownership
-from repro.distributed.exec import CommStats, execute_distributed
+from repro.distributed.exec import CommStats
 from repro.distributed.plan import communication_plan, CommPlanEntry
 from repro.distributed.model import ClusterSpec, simulate_distributed
 from repro.distributed.transport import RetryPolicy
-from repro.distributed.elastic import ElasticConfig, execute_elastic
+from repro.distributed.elastic import ElasticConfig
 
 __all__ = [
     "SlabPartition",
     "build_ownership",
     "CommStats",
-    "execute_distributed",
     "communication_plan",
     "CommPlanEntry",
     "ClusterSpec",
     "simulate_distributed",
     "RetryPolicy",
     "ElasticConfig",
-    "execute_elastic",
 ]

@@ -1,6 +1,6 @@
 """Elastic multiprocess coordinator for the distributed runtime.
 
-:func:`execute_elastic` runs a tessellated stencil across *real* rank
+:func:`_execute_elastic` runs a tessellated stencil across *real* rank
 processes (one :func:`~repro.distributed.worker.worker_main` each) and
 keeps the run alive through an elastic failure model:
 
@@ -32,7 +32,7 @@ exchange failure), or a plain :class:`~repro.runtime.errors
 
 Checkpoint spill files live in a per-run temporary directory that is
 removed on success *and* on coordinator abort (the ``finally`` in
-:func:`execute_elastic`), so no run leaks spill files.
+:func:`_execute_elastic`), so no run leaks spill files.
 """
 
 from __future__ import annotations
@@ -525,13 +525,12 @@ def _execute_elastic(
     config: Optional[ElasticConfig] = None,
     ghost_override: Optional[int] = None,
     trace: Optional[ExecutionTrace] = None,
-    sanitize: bool = False,
     budget=None,
 ) -> Tuple[np.ndarray, CommStats]:
     """Process-based execution (the ``elastic`` backend's engine).
 
     The process analogue of :func:`~repro.distributed.exec
-    .execute_distributed` — same slab partition, same block→rank
+    ._execute_distributed` — same slab partition, same block→rank
     ownership, same assembled-interior return value — but with real
     rank processes, checksummed message exchanges and the elastic
     failure model of :class:`ElasticConfig`.  ``fault_plan`` may inject
@@ -545,16 +544,6 @@ def _execute_elastic(
         raise ValueError("distributed executor assumes Dirichlet boundaries")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if sanitize:
-        from repro.runtime.sanitizer import sanitize_distributed_plan
-
-        san = sanitize_distributed_plan(spec, lattice, steps, ranks,
-                                        axis=axis, ghost=ghost_override)
-        if trace is not None:
-            trace.record_event("sanitize", 0, seconds=san.seconds,
-                               detail=f"{len(san.violations)} violation(s), "
-                                      f"{san.actions_checked} action(s)")
-        san.raise_if_violations()
     if budget is not None:
         budget.check("elastic entry")  # before any rank is spawned
     coord = _Coordinator(
@@ -566,40 +555,3 @@ def _execute_elastic(
         return coord.run()
     finally:
         coord.shutdown()
-
-
-def execute_elastic(
-    spec: StencilSpec,
-    grid: Grid,
-    lattice: TessLattice,
-    steps: int,
-    ranks: int,
-    axis: int = 0,
-    *,
-    fault_plan: Optional[FaultPlan] = None,
-    config: Optional[ElasticConfig] = None,
-    ghost_override: Optional[int] = None,
-    trace: Optional[ExecutionTrace] = None,
-    sanitize: bool = False,
-) -> Tuple[np.ndarray, CommStats]:
-    """Run ``steps`` tessellated steps across ``ranks`` OS processes.
-
-    The process analogue of the ``distributed`` backend — same slab
-    partition, same block->rank ownership, same assembled-interior
-    return value — but with real rank processes, checksummed message
-    exchanges and the elastic failure model of :class:`ElasticConfig`.
-
-    .. deprecated:: use ``repro.api.run`` / ``Session.execute`` with
-       ``backend="elastic"`` instead.
-    """
-    from repro.api import RunConfig, Session, warn_legacy
-
-    warn_legacy("execute_elastic", "repro.api.run(backend='elastic')")
-    run_config = RunConfig(
-        backend="elastic", engine="naive", scheme="tess", steps=steps,
-        ranks=ranks, axis=axis, fault_plan=fault_plan, elastic=config,
-        ghost=ghost_override, trace=trace, sanitize=sanitize,
-    )
-    result = Session(spec).execute(grid, config=run_config,
-                                   lattice=lattice)
-    return result.interior, result.stats.comm

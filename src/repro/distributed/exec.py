@@ -51,8 +51,8 @@ class CommStats:
     """Tally of the exchanges (and injected faults) of a distributed run.
 
     One schema for both execution paths: the in-process simulator
-    (:func:`execute_distributed`) and the elastic multiprocess runtime
-    (:func:`repro.distributed.elastic.execute_elastic`) fill the same
+    (:func:`_execute_distributed`) and the elastic multiprocess runtime
+    (:func:`repro.distributed.elastic._execute_elastic`) fill the same
     counters, so reports and trace events compare like for like —
     counters a path cannot exercise simply stay zero.
     """
@@ -128,7 +128,6 @@ def _execute_distributed(
     max_phase_restarts: int = 2,
     ghost_override: Optional[int] = None,
     trace: Optional[ExecutionTrace] = None,
-    sanitize: bool = False,
     budget=None,
 ) -> Tuple[np.ndarray, CommStats]:
     """Rank simulation (the ``distributed`` backend's engine).
@@ -145,31 +144,14 @@ def _execute_distributed(
     phase) instead of raising.  ``ghost_override`` forces a band width
     different from the lattice-derived one — the detector always
     validates against the *required* width, which is how an under-sized
-    band is caught instead of silently corrupting the run.
-    ``sanitize`` runs the ghost-band-aware structural sanitizer
-    (:func:`repro.runtime.sanitizer.sanitize_distributed_plan`) as a
-    pre-flight, catching an under-sized ``ghost_override`` *before*
-    execution rather than via numeric divergence.
+    band is caught instead of silently corrupting the run (with
+    ``sanitize=True``, ``Session``'s pre-flight reports it before
+    execution).
     """
     if spec.is_periodic:
         raise ValueError("distributed executor assumes Dirichlet boundaries")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if sanitize:
-        from repro.runtime.sanitizer import sanitize_distributed_plan
-
-        san = sanitize_distributed_plan(spec, lattice, steps, ranks,
-                                        axis=axis, ghost=ghost_override)
-        if trace is not None:
-            trace.record_event("sanitize", 0, seconds=san.seconds,
-                               detail=f"{len(san.violations)} violation(s), "
-                                      f"{san.actions_checked} action(s)")
-            for v in san.violations:
-                trace.record_event(
-                    "violation", v.group if v.group is not None else -1,
-                    label=v.task or "", detail=v.describe(),
-                )
-        san.raise_if_violations()
     if resilient:
         check_divergence = True
     part = SlabPartition(grid.shape, ranks, axis=axis)
@@ -346,43 +328,3 @@ def _execute_distributed(
         sl[axis] = slice(lo, hi)
         out[tuple(sl)] = locals_[r][steps % 2][interior][tuple(sl)]
     return out, stats
-
-
-def execute_distributed(
-    spec: StencilSpec,
-    grid: Grid,
-    lattice: TessLattice,
-    steps: int,
-    ranks: int,
-    axis: int = 0,
-    *,
-    fault_plan: Optional[FaultPlan] = None,
-    check_divergence: bool = False,
-    resilient: bool = False,
-    max_phase_restarts: int = 2,
-    ghost_override: Optional[int] = None,
-    trace: Optional[ExecutionTrace] = None,
-    sanitize: bool = False,
-) -> Tuple[np.ndarray, CommStats]:
-    """Run ``steps`` tessellated steps across ``ranks`` simulated ranks.
-
-    Returns ``(assembled interior at time steps, CommStats)``.
-
-    .. deprecated:: use ``repro.api.run`` / ``Session.execute`` with
-       ``backend="distributed"`` instead.
-    """
-    from repro.api import RunConfig, Session, warn_legacy
-    from repro.runtime.resilience import ResiliencePolicy
-
-    warn_legacy("execute_distributed",
-                "repro.api.run(backend='distributed')")
-    config = RunConfig(
-        backend="distributed", engine="naive", scheme="tess",
-        steps=steps, ranks=ranks, axis=axis, fault_plan=fault_plan,
-        check_divergence=check_divergence,
-        resilience=ResiliencePolicy() if resilient else None,
-        max_phase_restarts=max_phase_restarts, ghost=ghost_override,
-        trace=trace, sanitize=sanitize,
-    )
-    result = Session(spec).execute(grid, config=config, lattice=lattice)
-    return result.interior, result.stats.comm

@@ -26,12 +26,7 @@ See ``docs/performance.md`` for architecture and measured speedups.
 
 from repro.engine.batch import BatchGrid, plan_supports_batch, stack_grids
 from repro.engine.kernels import ScratchArena, thread_arena
-from repro.engine.plan import (
-    CompiledPlan,
-    PlanStats,
-    compile_plan,
-    execute_plan,
-)
+from repro.engine.plan import CompiledPlan, PlanStats, compile_plan
 from repro.engine.cache import (
     CacheStats,
     PlanCache,
@@ -46,7 +41,6 @@ __all__ = [
     "CompiledPlan",
     "PlanStats",
     "compile_plan",
-    "execute_plan",
     "plan_supports_batch",
     "stack_grids",
     "ScratchArena",

@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.kernels import ScratchArena, thread_arena
+from repro.engine.kernels import thread_arena
 from repro.engine.plan import CompiledPlan
 from repro.stencils.grid import Grid
 from repro.stencils.operators import (
@@ -128,7 +128,6 @@ def plan_supports_batch(plan: CompiledPlan) -> Optional[str]:
 
 
 def _execute_plan_batched(plan: CompiledPlan, bgrid: BatchGrid,
-                          arena: Optional[ScratchArena] = None,
                           budget=None) -> np.ndarray:
     """Run one compiled plan over all stacked instances at once.
 
@@ -150,8 +149,7 @@ def _execute_plan_batched(plan: CompiledPlan, bgrid: BatchGrid,
     n = bgrid.n
     flats = (bufs[0].reshape(n, -1), bufs[1].reshape(n, -1))
     spec = plan.spec
-    if arena is None:
-        arena = thread_arena()
+    arena = thread_arena()
     if budget is not None:
         budget.check(f"{plan.scheme} batched plan entry")
     for si, stream in enumerate(plan.streams):

@@ -1,7 +1,7 @@
 """Schedule → plan compilation: run a RegionSchedule with zero
 per-run geometry work.
 
-:func:`repro.runtime.schedule.execute_schedule` pays, for every one of
+:func:`repro.runtime.schedule._execute_schedule` pays, for every one of
 the thousands of small region actions a tiled schedule emits, a
 Python-level dispatch through ``spec.apply_region``, fresh slice-tuple
 construction per neighbour tap, and one temporary NumPy array per tap.
@@ -36,7 +36,7 @@ step ``t`` live in the ``t % 2`` buffer while same-step writes land in
 the other parity, so same-step units can run in any order once their
 writes are disjoint.
 
-Results are bit-identical to ``execute_schedule`` (or
+Results are bit-identical to ``_execute_schedule`` (or
 ``execute_overlapped`` for ghost-zone schedules): per grid point, the
 exact float operation sequence of the naive operator is preserved —
 fusion and batching only change array *layout*, never per-element
@@ -60,7 +60,6 @@ from repro.engine.rects import (
     run_starts,
 )
 from repro.engine.kernels import (
-    ScratchArena,
     life_batch,
     life_batch_many,
     life_slices,
@@ -87,7 +86,7 @@ from repro.stencils.spec import (
 )
 from repro.stencils.staged import stage_scratch, stage_timings
 
-__all__ = ["CompiledPlan", "PlanStats", "compile_plan", "execute_plan"]
+__all__ = ["CompiledPlan", "PlanStats", "compile_plan"]
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +476,7 @@ class CompiledPlan:
     """A RegionSchedule lowered to prebuilt execution units.
 
     ``streams[i]`` is the ordered unit list of barrier group
-    ``group_ids[i]``; :func:`execute_plan` runs them in order.  The
+    ``group_ids[i]``; :func:`_execute_plan` runs them in order.  The
     per-task view used by the threaded/resilient executors is compiled
     lazily by :meth:`task_units`.
     """
@@ -531,10 +530,6 @@ class CompiledPlan:
         for k, gid in enumerate(table.group.tolist()):
             out[index[gid]].append(units[bounds[k]:bounds[k + 1]])
         return out
-
-    def execute(self, grid: Grid, arena: Optional[ScratchArena] = None
-                ) -> np.ndarray:
-        return _execute_plan(self, grid, arena=arena)
 
     def as_schedule(self) -> RegionSchedule:
         """Re-express the compiled stream as a RegionSchedule.
@@ -813,7 +808,7 @@ def _compile_table(ctx: _CompileCtx, table: ScheduleTable, redundant: bool,
 
     streams: List[list] = [[] for _ in range(gids.size)]
     # task-order groups: one compiled slice per non-empty action, in
-    # exactly execute_schedule's interleaving, geometry hoisted
+    # exactly _execute_schedule's interleaving, geometry hoisted
     stats.fallback_groups = int(fallback.sum())
     slow = np.flatnonzero(fallback[gi])
     for g, step, region in zip(gi[slow].tolist(), t[slow].tolist(),
@@ -917,7 +912,6 @@ def _compile_private_task(ctx: _CompileCtx, task) -> Optional[_PrivateTask]:
 # ---------------------------------------------------------------------------
 
 def _execute_plan(plan: CompiledPlan, grid: Grid,
-                  arena: Optional[ScratchArena] = None,
                   budget=None) -> np.ndarray:
     """Compiled-stream execution (the ``compiled`` backend's engine).
 
@@ -934,8 +928,7 @@ def _execute_plan(plan: CompiledPlan, grid: Grid,
         raise ValueError("compiled plans require C-contiguous grid buffers")
     flats = (bufs[0].reshape(-1), bufs[1].reshape(-1))
     spec = plan.spec
-    if arena is None:
-        arena = thread_arena()
+    arena = thread_arena()
     if budget is not None:
         budget.check(f"{plan.scheme} plan entry")
     for si, stream in enumerate(plan.streams):
@@ -946,32 +939,10 @@ def _execute_plan(plan: CompiledPlan, grid: Grid,
     return grid.interior(plan.steps)
 
 
-def execute_plan(plan: CompiledPlan, grid: Grid,
-                 arena: Optional[ScratchArena] = None) -> np.ndarray:
-    """Run a compiled plan sequentially; returns the final interior.
-
-    Bit-identical to ``execute_schedule`` on the plan's source schedule
-    (``execute_overlapped`` for ghost-zone plans).
-
-    .. deprecated:: use ``repro.api.run`` / ``Session.execute`` with
-       ``backend="compiled"`` instead.
-    """
-    from repro.api import RunConfig, Session, warn_legacy
-
-    warn_legacy("execute_plan", "repro.api.run(backend='compiled')")
-    config = RunConfig(backend="compiled", engine="compiled")
-    if arena is not None:
-        config.options["arena"] = arena
-    result = Session(plan.spec).execute(grid, config=config, plan=plan)
-    return result.interior
-
-
-def run_units(units, grid: Grid, spec: StencilSpec,
-              arena: Optional[ScratchArena] = None) -> None:
+def run_units(units, grid: Grid, spec: StencilSpec) -> None:
     """Run one task's compiled units (threaded/resilient task body)."""
     bufs = grid.buffers
     flats = (bufs[0].reshape(-1), bufs[1].reshape(-1))
-    if arena is None:
-        arena = thread_arena()
+    arena = thread_arena()
     for unit in units:
         unit.run(bufs, flats, spec, arena)

@@ -4,7 +4,7 @@
   and memory-traffic formulas (the quantities behind Figure 12), and a
   closed-form roofline;
 * :mod:`~repro.perf.wallclock` — wall-clock measurement of real
-  (NumPy) schedule execution, used by the pytest-benchmark suite.
+  (NumPy) schedule execution, and the bench scripts' shared harness.
 """
 
 from repro.perf.model import (
@@ -14,7 +14,7 @@ from repro.perf.model import (
     roofline_time_s,
     machine_balance,
 )
-from repro.perf.wallclock import time_schedule, time_executor
+from repro.perf.wallclock import time_schedule
 
 __all__ = [
     "arithmetic_intensity",
@@ -23,5 +23,4 @@ __all__ = [
     "roofline_time_s",
     "machine_balance",
     "time_schedule",
-    "time_executor",
 ]

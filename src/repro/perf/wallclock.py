@@ -13,12 +13,19 @@ the **minimum** — the standard estimator for the noise floor of a
 deterministic computation (any excess over the minimum is interference,
 not work).  The single-shot path (``repeat=1, warmup=0``, the default)
 is unchanged for existing callers.
+
+The ``benchmarks/bench_*.py`` scripts share one harness from here:
+:func:`interleaved_medians`, :func:`restored`, :func:`env_fingerprint`
+and the ``--check`` gate :func:`check_regression`.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import sys
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,6 +76,61 @@ def interleaved_medians(runs, repeat: int,
     return [(float(np.median(ts)), out) for ts, out in zip(times, outs)]
 
 
+def restored(grid: Grid, init, fn: Callable[[], object]) -> Callable:
+    """``fn`` preceded by copying the buffer pair ``init`` back into
+    ``grid``, so every timed repeat runs on the same initial state."""
+
+    def run():
+        for dst, src in zip(grid.buffers, init):
+            np.copyto(dst, src)
+        return fn()
+
+    return run
+
+
+def env_fingerprint() -> Dict[str, object]:
+    """The measurement environment: enough to spot stale baselines."""
+    threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"numpy": np.__version__, "cpus": os.cpu_count(),
+            "threads_env": {k: os.environ[k] for k in threads
+                            if k in os.environ}}
+
+
+def check_regression(rows, baseline_path: str, tolerance: float,
+                     row_key: Callable[[dict], tuple],
+                     env: Optional[dict] = None) -> bool:
+    """The ``--check`` gate: fails when no row matches the baseline by
+    ``row_key``, or one's ``speedup`` fell more than ``tolerance`` below
+    its baseline row.  A differing ``env`` only warns."""
+    with open(baseline_path) as fh:
+        base = json.load(fh)
+    if env is not None and base.get("env") not in (None, env):
+        print(f"WARNING: environment fingerprint differs from "
+              f"{baseline_path}: baseline {base['env']}, current {env} "
+              f"(speedup ratios are still compared; absolute numbers "
+              f"are not comparable)", file=sys.stderr)
+    base_rows = {row_key(r): r for r in base.get("rows", [])}
+    pairs = [(row, base_rows[row_key(row)]) for row in rows
+             if row_key(row) in base_rows]
+    keep = 1.0 - tolerance
+    failures = [
+        f"  {'/'.join(map(str, row_key(row)))}: speedup "
+        f"{row['speedup']:.2f}x < {keep * ref['speedup']:.2f}x "
+        f"(baseline {ref['speedup']:.2f}x - {tolerance:.0%})"
+        for row, ref in pairs if row["speedup"] < keep * ref["speedup"]
+    ]
+    if not pairs:
+        print(f"regression check: no rows in common with {baseline_path}",
+              file=sys.stderr)
+    elif failures:
+        print(f"regression check FAILED vs {baseline_path}:", *failures,
+              sep="\n", file=sys.stderr)
+    else:
+        print(f"regression check OK: {len(pairs)} row(s) within "
+              f"{tolerance:.0%} of {baseline_path}")
+    return bool(pairs) and not failures
+
+
 def time_schedule(
     spec: StencilSpec,
     schedule: RegionSchedule,
@@ -110,12 +172,7 @@ def time_schedule(
         out = runner(spec, grid, schedule)
         return time.perf_counter() - t0, out
     init = [b.copy() for b in grid.buffers]
-
-    def run():
-        for dst, src in zip(grid.buffers, init):
-            np.copyto(dst, src)
-        return runner(spec, grid, schedule)
-
+    run = restored(grid, init, lambda: runner(spec, grid, schedule))
     return _timed_runs(run, repeat, warmup)
 
 
@@ -132,17 +189,5 @@ def time_plan(plan, grid: Optional[Grid] = None, seed: int = 0,
     if grid is None:
         grid = Grid(plan.spec, plan.shape, init="random", seed=seed)
     init = [b.copy() for b in grid.buffers]
-
-    def run():
-        for dst, src in zip(grid.buffers, init):
-            np.copyto(dst, src)
-        return _execute_plan(plan, grid)
-
+    run = restored(grid, init, lambda: _execute_plan(plan, grid))
     return _timed_runs(run, repeat, warmup)
-
-
-def time_executor(fn: Callable[[], object]) -> float:
-    """Time one invocation of an arbitrary executor closure."""
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0

@@ -9,8 +9,8 @@ independent and may run concurrently).
 
 On top of that one representation sit:
 
-* a sequential executor (:func:`~repro.runtime.schedule.execute_schedule`)
-  used for correctness validation of every scheme;
+* a sequential executor (the ``serial`` backend's engine) used for
+  correctness validation of every scheme;
 * a threaded executor (:mod:`~repro.runtime.threadpool`) demonstrating
   real shared-memory parallel execution (NumPy releases the GIL inside
   region applications);
@@ -36,12 +36,10 @@ from repro.runtime.schedule import (
     ScheduledTask,
     RegionSchedule,
     ScheduleTable,
-    execute_schedule,
     schedule_stats,
     verify_schedule,
 )
 from repro.runtime.taskgraph import TaskGraph, TaskNode, build_taskgraph
-from repro.runtime.threadpool import execute_threaded
 from repro.runtime.levelize import levelize
 from repro.runtime.errors import (
     ChecksumMismatchError,
@@ -62,7 +60,6 @@ from repro.runtime.resilience import (
     Checkpoint,
     ResiliencePolicy,
     ResilienceReport,
-    execute_resilient,
 )
 from repro.runtime.sanitizer import (
     SanitizerReport,
@@ -83,13 +80,11 @@ __all__ = [
     "ScheduledTask",
     "RegionSchedule",
     "ScheduleTable",
-    "execute_schedule",
     "schedule_stats",
     "verify_schedule",
     "TaskGraph",
     "TaskNode",
     "build_taskgraph",
-    "execute_threaded",
     "levelize",
     "ChecksumMismatchError",
     "DeadlineExceeded",
@@ -107,7 +102,6 @@ __all__ = [
     "Checkpoint",
     "ResiliencePolicy",
     "ResilienceReport",
-    "execute_resilient",
     "SanitizerViolation",
     "SanitizerReport",
     "Violation",

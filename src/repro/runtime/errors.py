@@ -201,9 +201,9 @@ class DeadlineExceeded(RuntimeError):
 class ExecutionError(RuntimeError):
     """A schedule execution died; names the failing group/task.
 
-    Raised by :func:`repro.runtime.threadpool.execute_threaded` on the
+    Raised by :func:`repro.runtime.threadpool._execute_threaded` on the
     first task failure (fail-fast semantics) and by
-    :func:`repro.runtime.resilience.execute_resilient` once retries,
+    :func:`repro.runtime.resilience._execute_resilient` once retries,
     sequential degradation and checkpoint restarts are exhausted.
     """
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -339,7 +339,7 @@ def poison_task_output(grid, task) -> int:
     every time level it advanced — is replaced with NaN in the
     corresponding ping-pong buffer.  Returns the number of poisoned
     points.  Integer grids cannot represent NaN; callers treat
-    ``corrupt`` as ``crash`` for those (see ``execute_resilient``).
+    ``corrupt`` as ``crash`` for those (see ``_execute_resilient``).
     """
     poisoned = 0
     for a in task.actions:

@@ -6,7 +6,7 @@ them natural *consistency points*: at every barrier the ping-pong
 buffer pair is a complete, well-defined state.  This module exploits
 that:
 
-* **Checkpointing** — :func:`execute_resilient` snapshots the buffer
+* **Checkpointing** — :func:`_execute_resilient` snapshots the buffer
   pair every ``checkpoint_interval`` groups.  A snapshot is all the
   state a restart needs (plus the group index), because schedules are
   deterministic replay: re-running groups ``k..g`` from the group-``k``
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor, wait, FIRST_EXCEPTION
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -85,10 +85,6 @@ class ResiliencePolicy:
     #: stalled worker raises :class:`StallTimeoutError` (not retried,
     #: not replayed) instead of hanging the run forever (None = off)
     wall_deadline_s: Optional[float] = None
-    #: run the structural sanitizer (tessellation / dependence / race
-    #: analysis, :mod:`repro.runtime.sanitizer`) as a pre-flight and
-    #: refuse to execute a schedule with violations
-    sanitize: bool = False
 
 
 @dataclass
@@ -377,22 +373,6 @@ def _execute_resilient(
                 or plan.scheme != schedule.scheme):
             raise ValueError("plan was compiled for a different schedule")
     schedule.validate_structure()  # pre-flight guard on every entry
-    if policy.sanitize:
-        from repro.runtime.errors import SanitizerViolation
-        from repro.runtime.sanitizer import sanitize_schedule
-
-        san = sanitize_schedule(spec, schedule)
-        if trace is not None:
-            trace.record_event("sanitize", 0, seconds=san.seconds,
-                               detail=f"{len(san.violations)} violation(s), "
-                                      f"{san.actions_checked} action(s)")
-            for v in san.violations:
-                trace.record_event(
-                    "violation", v.group if v.group is not None else -1,
-                    label=v.task or "", detail=v.describe(),
-                )
-        if not san.ok:
-            raise SanitizerViolation(schedule.scheme, san.violations)
 
     groups = schedule.groups()
     gids = sorted(groups)
@@ -498,31 +478,3 @@ def _execute_resilient(
         if pool is not None:
             pool.shutdown(wait=True)
     return grid.interior(schedule.steps), report
-
-
-def execute_resilient(
-    spec: StencilSpec,
-    grid: Grid,
-    schedule: RegionSchedule,
-    policy: Optional[ResiliencePolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    num_threads: int = 1,
-    trace: Optional[ExecutionTrace] = None,
-    plan=None,
-) -> Tuple[np.ndarray, ResilienceReport]:
-    """Execute a schedule with checkpoint/restart fault tolerance.
-
-    Returns ``(interior at time schedule.steps, report)``.
-
-    .. deprecated:: use ``repro.api.run`` / ``Session.execute`` with
-       ``backend="resilient"`` instead.
-    """
-    from repro.api import RunConfig, Session, warn_legacy
-
-    warn_legacy("execute_resilient", "repro.api.run(backend='resilient')")
-    config = RunConfig(backend="resilient", engine="naive",
-                       threads=num_threads,
-                       resilience=policy or ResiliencePolicy(),
-                       fault_plan=fault_plan, trace=trace)
-    result = Session(spec).execute(grid, schedule, config=config, plan=plan)
-    return result.interior, result.stats.resilience

@@ -676,7 +676,7 @@ def sanitize_distributed_plan(
     """Sanitize the distributed simulator's rank-local schedules.
 
     Rebuilds exactly the per-rank block ownership of
-    :func:`repro.distributed.exec.execute_distributed`, flattens it to
+    :func:`repro.distributed.exec._execute_distributed`, flattens it to
     one global region schedule (one barrier group per stage, one task
     per owned block) and runs the full structural battery on it — then
     adds the ghost-band check: every read footprint of a rank's blocks

@@ -210,7 +210,7 @@ class RegionSchedule:
     shape: Tuple[int, ...]
     steps: int
     #: True for ghost-zone schemes whose tasks need private storage
-    #: (see repro.baselines.overlapped); execute_schedule refuses them.
+    #: (see repro.baselines.overlapped); _execute_schedule refuses them.
     private_tasks: bool = False
     #: Explicit declaration that the scheme recomputes points
     #: (overlapped tiling): the sanitizer only tolerates a point being
@@ -338,23 +338,6 @@ def _execute_schedule(spec: StencilSpec, grid: Grid,
         budget=budget,
     )
     return grid.interior(schedule.steps)
-
-
-def execute_schedule(spec: StencilSpec, grid: Grid,
-                     schedule: RegionSchedule) -> np.ndarray:
-    """Run a schedule sequentially (groups in order, tasks in order).
-
-    Returns the interior at time ``schedule.steps``.
-
-    .. deprecated:: use ``repro.api.run`` / ``Session.execute`` with
-       ``backend="serial"`` instead.
-    """
-    from repro.api import RunConfig, Session, warn_legacy
-
-    warn_legacy("execute_schedule", "repro.api.run(backend='serial')")
-    result = Session(spec).execute(
-        grid, schedule, config=RunConfig(backend="serial", engine="naive"))
-    return result.interior
 
 
 def verify_schedule(spec: StencilSpec, schedule: RegionSchedule,

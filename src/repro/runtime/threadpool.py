@@ -19,7 +19,7 @@ joined, and a structured :class:`~repro.runtime.errors.ExecutionError`
 naming the failing task and group is raised.  Without this, every
 future ran to completion and a partially-updated grid was
 indistinguishable from success.  For retry/checkpoint recovery
-semantics use :func:`repro.runtime.resilience.execute_resilient`.
+semantics use the ``resilient`` backend.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ def _execute_threaded(
     schedule: RegionSchedule,
     num_threads: int = 4,
     fault_plan: Optional[FaultPlan] = None,
-    sanitize: bool = False,
     plan=None,
     budget=None,
 ) -> np.ndarray:
@@ -81,12 +80,10 @@ def _execute_threaded(
     first task exception cancels the group's pending tasks and raises
     :class:`ExecutionError` carrying the scheme/group/task context.
     ``fault_plan`` is the deterministic injection harness hook (see
-    :mod:`repro.runtime.faults`).  With ``sanitize=True`` the
-    structural sanitizer runs as a pre-flight and raises
-    :class:`~repro.runtime.errors.SanitizerViolation` before any
-    buffer is touched — the check that makes the "tasks of one group
-    are independent" assumption above an enforced invariant instead
-    of a convention.
+    :mod:`repro.runtime.faults`).  ``Session`` runs the sanitizer
+    pre-flight (``sanitize=True``) before this is called — the check
+    that makes the "tasks of one group are independent" assumption
+    above an enforced invariant instead of a convention.
 
     ``plan`` accepts a :class:`~repro.engine.plan.CompiledPlan` for the
     same schedule: each task then runs its precompiled allocation-free
@@ -102,14 +99,11 @@ def _execute_threaded(
         raise ValueError(
             f"grid shape {grid.shape} != schedule shape {schedule.shape}"
         )
-    if sanitize:
-        from repro.runtime.sanitizer import sanitize_schedule
-
-        sanitize_schedule(spec, schedule).raise_if_violations()
     if plan is not None:
         if plan.private:
             raise ValueError(
-                "ghost-zone plans have no threaded path; use execute_plan"
+                "ghost-zone plans have no threaded path; use backend "
+                "'compiled'"
             )
         if (plan.shape != schedule.shape or plan.steps != schedule.steps
                 or plan.scheme != schedule.scheme):
@@ -131,29 +125,3 @@ def _execute_threaded(
 
     drive_groups(schedule, run_one, num_threads=num_threads, budget=budget)
     return grid.interior(schedule.steps)
-
-
-def execute_threaded(
-    spec: StencilSpec,
-    grid: Grid,
-    schedule: RegionSchedule,
-    num_threads: int = 4,
-    fault_plan: Optional[FaultPlan] = None,
-    sanitize: bool = False,
-    plan=None,
-) -> np.ndarray:
-    """Execute a schedule with ``num_threads`` worker threads.
-
-    Returns the interior at time ``schedule.steps``.
-
-    .. deprecated:: use ``repro.api.run`` / ``Session.execute`` with
-       ``backend="threaded"`` instead.
-    """
-    from repro.api import RunConfig, Session, warn_legacy
-
-    warn_legacy("execute_threaded", "repro.api.run(backend='threaded')")
-    config = RunConfig(backend="threaded", engine="naive",
-                       threads=num_threads, fault_plan=fault_plan,
-                       sanitize=sanitize)
-    result = Session(spec).execute(grid, schedule, config=config, plan=plan)
-    return result.interior

@@ -32,7 +32,7 @@ class TaskTrace:
 class RuntimeEvent:
     """One resilience-layer event (retry, checkpoint, restore, guard…).
 
-    Recorded by :func:`repro.runtime.resilience.execute_resilient`,
+    Recorded by :func:`repro.runtime.resilience._execute_resilient`,
     the distributed simulator and the elastic process coordinator
     (:mod:`repro.distributed.elastic`) so traces expose where
     fault-tolerance overhead sits, next to the per-task compute

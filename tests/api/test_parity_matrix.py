@@ -1,7 +1,8 @@
 """Parity matrix: every registered backend x every builder scheme.
 
 Each supported cell must reproduce the naive reference sweep
-*bit-identically* (``np.array_equal``, not allclose: every executor
+*bit-identically* (same dtype, shape and bytes — not ``np.array_equal``,
+which equates ``-0.0`` and ``0.0``, and not allclose: every executor
 performs the same per-point arithmetic, only the traversal order
 differs).  Each unsupported cell must refuse with a typed
 :class:`BackendUnsupported` carrying the backend name and a reason —
@@ -16,7 +17,6 @@ disagreed on:
   block period, so the lattice carries a stretched block).
 """
 
-import numpy as np
 import pytest
 
 from repro.api import RunConfig, run
@@ -79,6 +79,11 @@ BACKEND_PARAMS = [
 ]
 
 
+def _bitwise(ref, out):
+    return (ref.dtype == out.dtype and ref.shape == out.shape
+            and ref.tobytes() == out.tobytes())
+
+
 def test_support_table_covers_registry():
     """The contract table and the registry must list the same backends."""
     assert sorted(SUPPORTED) == backend_names()
@@ -103,7 +108,7 @@ def test_cell(backend, scheme, steps, references):
 
     if scheme in SUPPORTED[backend]:
         result = run(spec, config)
-        assert np.array_equal(references[steps], result.interior), (
+        assert _bitwise(references[steps], result.interior), (
             f"{backend} x {scheme} (steps={steps}) diverged from the "
             f"reference sweep"
         )
@@ -147,7 +152,7 @@ def test_staged_cell(backend, scheme, steps, staged_references):
 
     if scheme in STAGED_SUPPORTED[backend]:
         result = run(spec, config)
-        assert np.array_equal(staged_references[steps], result.interior), (
+        assert _bitwise(staged_references[steps], result.interior), (
             f"staged {backend} x {scheme} (steps={steps}) diverged from "
             f"the per-stage oracle"
         )
@@ -180,7 +185,7 @@ def test_periodic_only_on_pointwise():
                            backend=backend)
         if backend == "baseline:pointwise":
             result = run(spec, config)
-            assert np.array_equal(ref, result.interior)
+            assert _bitwise(ref, result.interior)
         else:
             with pytest.raises(BackendUnsupported):
                 run(spec, config)

@@ -296,9 +296,11 @@ class TestStatsAndTraceSchema:
         assert np.array_equal(base, out)
 
     def test_sanitize_preflight_rejects_undersized_ghost(self):
+        from repro.api import RunConfig, Session
         from repro.runtime import SanitizerViolation
 
         spec, lat, grid, _ = _setup()
+        config = RunConfig(backend="elastic", steps=8, ranks=4, ghost=1,
+                           sanitize=True)
         with pytest.raises(SanitizerViolation):
-            _execute_elastic(spec, grid.copy(), lat, 8, 4,
-                            ghost_override=1, sanitize=True)
+            Session(spec).execute(grid.copy(), config=config, lattice=lat)

@@ -33,12 +33,10 @@ def _solo_interiors(session, config, n):
 
 
 def _assert_batch_matches(kernel, shape, scheme, steps, n, *, b=4,
-                          seed=3, batch_threshold=4096):
+                          seed=3):
     session = Session(get_stencil(kernel))
     config = RunConfig(shape=shape, steps=steps, scheme=scheme, b=b,
-                       seed=seed, backend="batched",
-                       options={"batch_threshold": batch_threshold}
-                       if batch_threshold != 4096 else {})
+                       seed=seed, backend="batched")
     results = session.run_many(config, batch=n)
     solo = _solo_interiors(session, config.normalized(), n)
     assert len(results) == n
@@ -68,8 +66,24 @@ def test_batch_zero_steps():
 def test_batch_slice_path():
     # batch_threshold=1 forces every fused rectangle onto the slice
     # lowering; the flat-index default covers the gather path
-    _assert_batch_matches("heat2d", (24, 24), "tess", steps=6, n=3,
-                          batch_threshold=1)
+    from repro.engine.batch import _execute_plan_batched
+
+    session = Session(get_stencil("heat2d"))
+    config = RunConfig(shape=(24, 24), steps=6, scheme="tess", b=4,
+                       seed=3).normalized()
+    built = session.build(config)
+    plan = session.lower(built.schedule, built.params, batch_threshold=1,
+                         batched=True)
+    assert plan.stats.batches == 0
+    assert plan.stats.sliced_actions == 268
+    grids = [Grid(session.spec, (24, 24), init="random", seed=3 + i)
+             for i in range(3)]
+    out = _execute_plan_batched(plan, stack_grids(session.spec, grids))
+    solo = _solo_interiors(session, config, 3)
+    for i, ref in enumerate(solo):
+        assert (out[i].dtype == ref.dtype and out[i].shape == ref.shape
+                and out[i].tobytes() == ref.tobytes()), (
+            f"instance {i} of the slice-lowered batch diverged")
 
 
 @settings(max_examples=12, deadline=None)

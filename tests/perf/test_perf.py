@@ -1,5 +1,7 @@
 """Tests for the analytic performance models and wall-clock helpers."""
 
+import json
+
 import pytest
 
 from repro.baselines import naive_schedule
@@ -12,7 +14,8 @@ from repro.perf import (
     time_schedule,
     timetile_traffic_bytes,
 )
-from repro.stencils import d3p27, heat1d, heat2d, heat3d
+from repro.perf.wallclock import check_regression, restored
+from repro.stencils import Grid, d3p27, heat1d, heat2d, heat3d
 
 
 class TestArithmeticIntensity:
@@ -90,3 +93,59 @@ class TestWallclock:
         sched = overlapped_schedule(spec, (40,), 4, (10,), 2)
         seconds, out = time_schedule(spec, sched)
         assert seconds > 0 and out.shape == (40,)
+
+
+class TestBenchHarness:
+    """The shared ``--check`` gate and restore wrapper of the bench scripts."""
+
+    ROWS = [{"name": "a", "n": 1, "speedup": 10.0},
+            {"name": "a", "n": 8, "speedup": 4.0}]
+
+    @staticmethod
+    def key(row):
+        return (row["name"], row["n"])
+
+    def baseline(self, tmp_path, env=None):
+        path = tmp_path / "BENCH.json"
+        path.write_text(json.dumps({"env": env, "rows": self.ROWS}))
+        return str(path)
+
+    def test_rows_within_tolerance_pass(self, tmp_path):
+        rows = [dict(r, speedup=0.8 * r["speedup"]) for r in self.ROWS]
+        assert check_regression(rows, self.baseline(tmp_path), 0.25,
+                                self.key)
+
+    def test_regressed_row_fails_and_is_named(self, tmp_path, capsys):
+        rows = [self.ROWS[0], dict(self.ROWS[1], speedup=2.9)]
+        assert not check_regression(rows, self.baseline(tmp_path), 0.25,
+                                    self.key)
+        assert "a/8: speedup 2.90x" in capsys.readouterr().err
+
+    def test_rows_match_by_the_given_key(self, tmp_path):
+        # keyed by name alone, the n=1 row meets the n=8 baseline row
+        rows = [dict(self.ROWS[0], speedup=3.5)]
+        path = self.baseline(tmp_path)
+        assert not check_regression(rows, path, 0.25, self.key)
+        assert check_regression(rows, path, 0.25, lambda r: (r["name"],))
+
+    def test_no_common_row_fails(self, tmp_path):
+        rows = [{"name": "b", "n": 1, "speedup": 99.0}]
+        assert not check_regression(rows, self.baseline(tmp_path), 0.25,
+                                    self.key)
+
+    def test_env_mismatch_only_warns(self, tmp_path, capsys):
+        path = self.baseline(tmp_path, env={"cpus": 64})
+        assert check_regression(self.ROWS, path, 0.25, self.key,
+                                env={"cpus": 2})
+        assert "WARNING" in capsys.readouterr().err
+
+    def test_restored_starts_every_run_from_init(self):
+        grid = Grid(heat1d(), (32,), seed=0)
+        init = [buf.copy() for buf in grid.buffers]
+
+        def bump():
+            grid.buffers[0] += 1.0
+            return grid.buffers[0].copy()
+
+        run = restored(grid, init, bump)
+        assert run().tobytes() == run().tobytes()

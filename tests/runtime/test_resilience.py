@@ -48,6 +48,19 @@ def _schedules():
     }
 
 
+class _SleepClock:
+    """Stands in for the ``time`` module: only ``sleep`` moves the clock."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
+
+
 @pytest.fixture(scope="module")
 def schedules():
     return _schedules()
@@ -158,15 +171,21 @@ class TestRecoveryBitIdentical:
         assert report.checkpoints_taken == 1  # the initial snapshot only
         assert report.restores == 1
 
-    def test_task_retry_is_not_naive_rerun(self, schedules, references):
+    def test_task_retry_is_not_naive_rerun(self, schedules, references,
+                                           monkeypatch):
         """Stall-after-completion then retry: the undo log matters.
 
         A stalled task has already applied all its actions when the
         deadline trips; blindly re-running it would read its own
         same-parity writes and silently corrupt the grid (this was a
         real bug — the undo log restores the task's write footprint
-        before every retry).
+        before every retry).  The executor's clock only advances in
+        ``sleep``, so the deadline trips on the stalled task alone, not
+        on a task a loaded machine happens to slow down.
         """
+        from repro.runtime import resilience
+
+        monkeypatch.setattr(resilience, "time", _SleepClock())
         sched = schedules["tess"]
         plan = FaultPlan([FaultSpec("stall", group=2, task=0,
                                     stall_s=0.03)])

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import Grid, get_stencil, make_lattice
+from repro.api import RunConfig, Session
 from repro.cli import SCHEMES, _build_schedule
 from repro.core.profiles import AxisProfile, TessLattice
 from repro.core.schedules import tess_schedule
@@ -25,7 +26,6 @@ from repro.distributed.partition import SlabPartition
 from repro.runtime import (
     RegionAction,
     RegionSchedule,
-    ResiliencePolicy,
     SanitizerViolation,
     apply_mutation,
     drop_action,
@@ -35,8 +35,6 @@ from repro.runtime import (
     shift_region,
     verify_schedule,
 )
-from repro.runtime.resilience import _execute_resilient
-from repro.runtime.threadpool import _execute_threaded
 from repro.runtime.tracing import ExecutionTrace
 
 pytestmark = pytest.mark.sanitizer
@@ -241,7 +239,7 @@ class TestRedundancyDeclaration:
 
 
 class TestExecutorWiring:
-    """The sanitize pre-flight in every execution entry point."""
+    """The sanitize pre-flight, which ``Session`` runs for every backend."""
 
     def _mutated(self):
         spec = get_stencil("heat1d")
@@ -255,27 +253,31 @@ class TestExecutorWiring:
 
     def test_execute_threaded_preflight(self):
         spec, bad = self._mutated()
-        good = build("tess")
-        g = Grid(spec, (300,), seed=1)
-        out = _execute_threaded(spec, g, good, num_threads=2, sanitize=True)
+        session = Session(spec)
+        config = RunConfig(backend="threaded", threads=2, sanitize=True)
+        out = session.execute(Grid(spec, (300,), seed=1), build("tess"),
+                              config=config).interior
         assert np.isfinite(out).all()
+        g = Grid(spec, (300,), seed=1)
+        before = [buf.tobytes() for buf in g.buffers]
         with pytest.raises(SanitizerViolation):
-            _execute_threaded(spec, Grid(spec, (300,), seed=1), bad,
-                             num_threads=2, sanitize=True)
+            session.execute(g, bad, config=config)
+        assert [buf.tobytes() for buf in g.buffers] == before
 
     def test_execute_resilient_preflight_and_trace(self):
         spec, bad = self._mutated()
-        policy = ResiliencePolicy(sanitize=True)
+        session = Session(spec)
         trace = ExecutionTrace(scheme="tess")
-        out, report = _execute_resilient(
-            spec, Grid(spec, (300,), seed=1), build("tess"),
-            policy=policy, trace=trace)
-        assert report.groups_run > 0
+        result = session.execute(Grid(spec, (300,), seed=1), build("tess"),
+                                 backend="resilient", sanitize=True,
+                                 trace=trace)
+        assert result.stats.resilience.groups_run > 0
         assert trace.event_counts().get("sanitize") == 1
         trace_bad = ExecutionTrace(scheme="tess")
         with pytest.raises(SanitizerViolation) as exc:
-            _execute_resilient(spec, Grid(spec, (300,), seed=1), bad,
-                              policy=policy, trace=trace_bad)
+            session.execute(Grid(spec, (300,), seed=1), bad,
+                            backend="resilient", sanitize=True,
+                            trace=trace_bad)
         assert exc.value.violations
         counts = trace_bad.event_counts()
         assert counts.get("sanitize") == 1
@@ -368,18 +370,16 @@ class TestDistributedGhostBand:
             in report.violations[0].detail
 
     def test_execute_distributed_preflight(self):
-        from repro.distributed.exec import _execute_distributed
-
         spec = get_stencil("heat1d")
         lat = make_lattice(spec, (400,), 4)
         g = Grid(spec, (400,), seed=0)
-        out, _ = _execute_distributed(spec, g.copy(), lat, 8, 4,
-                                     fault_plan=None, sanitize=True)
+        session = Session(spec)
+        config = RunConfig(backend="distributed", steps=8, ranks=4,
+                           sanitize=True)
+        out = session.execute(g.copy(), config=config, lattice=lat).interior
         assert np.isfinite(out).all()
         with pytest.raises(SanitizerViolation):
-            _execute_distributed(spec, g.copy(), lat, 8, 4,
-                                fault_plan=None, ghost_override=1,
-                                sanitize=True)
+            session.execute(g.copy(), config=config, lattice=lat, ghost=1)
 
 
 class TestReportSurface:
