@@ -1,8 +1,11 @@
 """Resilience-layer overhead on the real NumPy substrate (ISSUE 1).
 
 Measures the cost of fault tolerance in the happy path — checkpoint
-copies, invariant-guard sweeps, per-task undo logs — across checkpoint
-cadences, plus the replay cost of recovering one late injected fault.
+copies and invariant-guard sweeps — across checkpoint cadences, plus
+the replay cost of recovering one late injected fault.  Group replay
+is the backend's only recovery path, so the cadence prices every
+recovered fault; this trade-off is why ``checkpoint_interval`` is a
+knob.
 Not a paper figure; this quantifies the engineering trade-off recorded
 in ``docs/resilience.md``.
 """

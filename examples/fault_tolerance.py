@@ -2,10 +2,10 @@
 
 The barrier groups that make tessellated schedules parallel are also
 consistency points: at every barrier the ping-pong pair is a complete
-state.  The ``resilient`` backend checkpoints there, retries failed
-tasks, and restores/replays groups on corruption — so a run hit by
-injected faults still produces results *bit-identical* to a fault-free
-run.  The ``distributed`` backend does the same per phase, with a
+state.  The ``resilient`` backend checkpoints there, and when a task
+crashes, overruns its deadline or corrupts the grid it restores the
+last checkpoint and replays the group — so a run hit by injected
+faults still produces results *bit-identical* to a fault-free run.  The ``distributed`` backend does the same per phase, with a
 divergence detector guarding the ghost-band exchanges.
 
 Run: ``PYTHONPATH=src python examples/fault_tolerance.py``

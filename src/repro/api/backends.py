@@ -289,7 +289,7 @@ class ThreadedBackend(Backend):
 
 
 class ResilientBackend(Backend):
-    """Checkpoint/restart executor with retries and invariant guards."""
+    """The threaded executor plus barrier checkpoints, guards and replay."""
 
     name = "resilient"
     consumes_plan = True

@@ -14,14 +14,10 @@ All of them reduce to two loops:
   :class:`~repro.runtime.schedule.RegionSchedule`: groups in ascending
   order with a barrier between them, tasks of one group either run in
   order (``num_threads == 1``) or submitted together to a thread pool
-  and joined (the barrier) before the next group starts.
-
-The pooled path is **fail-fast**: on the first task exception the
-group's still-pending futures are cancelled, running futures are
-joined (so no worker is still writing the buffers), and a structured
-:class:`~repro.runtime.errors.ExecutionError` naming the failing task
-and group is raised.  The sequential path propagates the raw exception
-unchanged, matching the ``serial`` backend's contract.
+  and joined (the barrier) before the next group starts.  One group of
+  it is :func:`run_group` (fail-fast when pooled), which the
+  ``resilient`` backend also calls with its checkpoint, guard and
+  replay work around each group.
 
 This module deliberately imports nothing from :mod:`repro.runtime`
 except the error type, so the runtime modules can import it without a
@@ -31,15 +27,16 @@ cycle.
 from __future__ import annotations
 
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from typing import Callable, Iterable, Iterator, Tuple
 
 from repro.runtime.errors import ExecutionError
 
-__all__ = ["phase_windows", "run_actions", "drive_groups"]
+__all__ = ["phase_windows", "run_actions", "drive_groups", "run_group"]
 
 #: ``run_one(group_index, group_id, task_index, task)`` — the per-task
-#: body supplied by each executor (serial action walk, compiled units,
-#: fault-injected attempt, ...).
+#: body supplied by each executor (serial action walk, or
+#: :func:`repro.runtime.threadpool._run_task` for the pooled backends).
 TaskRunner = Callable[[int, int, int, object], object]
 
 
@@ -70,13 +67,9 @@ def drive_groups(schedule, run_one: TaskRunner, num_threads: int = 1,
                  budget=None) -> None:
     """Run a schedule's barrier groups in order through ``run_one``.
 
-    Sequential (``num_threads <= 1``): tasks of each group run in their
-    listed order; exceptions propagate unchanged.
-
-    Pooled: tasks of one group are submitted together and joined before
-    the next group (the barrier); the first failure cancels the group's
-    pending tasks and raises :class:`ExecutionError` carrying the
-    scheme/group/task context.
+    Each group runs through :func:`run_group`: in order on this thread
+    when ``num_threads <= 1``, else on one thread pool shared by every
+    group.
 
     ``budget`` is the run-level :class:`~repro.runtime.qos.RunBudget`;
     when armed it is checked before each barrier group, so a deadline
@@ -84,38 +77,48 @@ def drive_groups(schedule, run_one: TaskRunner, num_threads: int = 1,
     every already-started task joined (no worker still writing).
     """
     groups = schedule.groups()
-    ordered = sorted(groups)
     if budget is not None:
         budget.check(f"{schedule.scheme} drive entry")
-    if num_threads <= 1:
-        for gi, gid in enumerate(ordered):
+    with (ThreadPoolExecutor(max_workers=num_threads) if num_threads > 1
+          else nullcontext()) as pool:
+        for gi, gid in enumerate(sorted(groups)):
             if budget is not None:
                 budget.check(f"group {gid}")
-            for ti, task in enumerate(groups[gid]):
-                run_one(gi, gid, ti, task)
+            run_group(pool, schedule.scheme, gi, gid, groups[gid], run_one)
+
+
+def run_group(pool, scheme: str, gi: int, gid: int, tasks,
+              run_one: TaskRunner) -> None:
+    """Run one barrier group's tasks and return once all are done.
+
+    Without a ``pool`` the tasks run in their listed order on this
+    thread and an exception propagates unchanged.  With one, they are
+    submitted together and joined (the barrier); the first failure
+    cancels the group's pending tasks, joins the running ones and
+    raises :class:`ExecutionError` carrying the scheme/group/task
+    context, with the task's own exception as ``__cause__``.
+    """
+    if pool is None:
+        for ti, task in enumerate(tasks):
+            run_one(gi, gid, ti, task)
         return
-    with ThreadPoolExecutor(max_workers=num_threads) as pool:
-        for gi, gid in enumerate(ordered):
-            if budget is not None:
-                budget.check(f"group {gid}")
-            tasks = groups[gid]
-            futures = {
-                pool.submit(run_one, gi, gid, ti, task): task
-                for ti, task in enumerate(tasks)
-            }
-            done, pending = wait(futures, return_when=FIRST_EXCEPTION)
-            first_exc, failed_task = None, None
-            for f in done:
-                exc = f.exception()
-                if exc is not None and first_exc is None:
-                    first_exc, failed_task = exc, futures[f]
-            if first_exc is not None:
-                cancelled = sum(1 for f in pending if f.cancel())
-                wait(futures)  # join tasks that were already running
-                raise ExecutionError(
-                    f"task failed ({first_exc}); "
-                    f"{cancelled} pending task(s) cancelled",
-                    scheme=schedule.scheme,
-                    group=gid,
-                    task_label=failed_task.label or None,
-                ) from first_exc
+    futures = {
+        pool.submit(run_one, gi, gid, ti, task): task
+        for ti, task in enumerate(tasks)
+    }
+    done, pending = wait(futures, return_when=FIRST_EXCEPTION)
+    first_exc, failed_task = None, None
+    for f in done:
+        exc = f.exception()
+        if exc is not None and first_exc is None:
+            first_exc, failed_task = exc, futures[f]
+    if first_exc is not None:
+        cancelled = sum(1 for f in pending if f.cancel())
+        wait(futures)  # join tasks that were already running
+        raise ExecutionError(
+            f"task failed ({first_exc}); "
+            f"{cancelled} pending task(s) cancelled",
+            scheme=scheme,
+            group=gid,
+            task_label=failed_task.label or None,
+        ) from first_exc

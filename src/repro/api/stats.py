@@ -134,6 +134,8 @@ def _block_from_json(name: str, data: Optional[Dict[str, Any]]) -> Any:
     if name == "resilience":
         from repro.runtime.resilience import ResilienceReport
 
+        # 2.x records carry the removed per-task retry counter
+        data = {k: v for k, v in data.items() if k != "task_retries"}
         return ResilienceReport(**data)
     if name == "cache":
         from repro.engine.cache import CacheStats

@@ -7,6 +7,8 @@ experiment quantifies the trade-off on the real NumPy substrate:
 wall-clock of :func:`~repro.runtime.resilience._execute_resilient`
 across cadences, relative to the plain sequential executor, plus the
 measured replay cost of one injected late-group fault per cadence.
+Replay is the backend's only recovery path, so the cadence prices
+every recovered fault (crash, deadline overrun, guard trip).
 """
 
 from __future__ import annotations

@@ -143,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="N", help="checkpoint every N barrier "
                      "groups in --resilient mode (0 = initial only)")
     run.add_argument("--retries", type=int, default=2,
-                     help="per-task retry budget in --resilient mode")
+                     help="per-group replay budget in --resilient mode")
 
     show = sub.add_parser("show", help="space-time diagram of a 1D schedule")
     show.add_argument("--scheme", default="tess",
@@ -348,7 +348,7 @@ def _add_client_args(sub: argparse.ArgumentParser) -> None:
 def _add_resilience_args(sub: argparse.ArgumentParser) -> None:
     mode = sub.add_mutually_exclusive_group()
     mode.add_argument("--resilient", action="store_true",
-                      help="enable retries, checkpoint/restart and "
+                      help="enable checkpoint/replay recovery and "
                       "invariant guards")
     mode.add_argument("--fail-fast", action="store_true",
                       help="die on the first failure with a structured "
@@ -488,15 +488,14 @@ def cmd_run(args) -> int:
     if backend == "resilient":
         if args.resilient:
             overrides["resilience"] = ResiliencePolicy(
-                max_task_retries=args.retries,
+                max_group_restarts=args.retries,
                 checkpoint_interval=args.checkpoint_every,
             )
         else:
-            # fail-fast with injection: no retries, no restarts — the
-            # guards still turn silent corruption into a loud exit 4
+            # fail-fast with injection: no replays — the guards still
+            # turn silent corruption into a loud exit 4
             overrides["resilience"] = ResiliencePolicy(
-                max_task_retries=0, max_group_restarts=0,
-                checkpoint_interval=0)
+                max_group_restarts=0, checkpoint_interval=0)
         if fault_plan is not None:
             print(f"injecting: {fault_plan.describe()}")
     config = config.with_overrides(overrides)

@@ -18,11 +18,11 @@ On top of that one representation sit:
   simulated machine — work, span, concurrency profiles, footprints;
 * the resilience layer (:mod:`~repro.runtime.resilience`,
   :mod:`~repro.runtime.faults`, :mod:`~repro.runtime.errors`) —
-  deterministic fault injection, barrier-group checkpoint/restart,
-  bounded retries with sequential degradation, and runtime invariant
-  guards.  Barrier groups double as consistency points: at every
-  barrier the ping-pong pair is a complete state, so a snapshot plus
-  the group index is all a restart needs.
+  deterministic fault injection, barrier-group checkpoint/replay with
+  a sequential last replay, and runtime invariant guards.  Barrier
+  groups double as consistency points: at every barrier the ping-pong
+  pair is a complete state, so a snapshot plus the group index is all
+  a restart needs.
 * the structural sanitizer (:mod:`~repro.runtime.sanitizer`) — a
   symbolic interval-arithmetic analysis proving tessellation
   (Theorem 3.5), ping-pong dependence legality (Theorem 3.6) and

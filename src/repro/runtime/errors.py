@@ -203,8 +203,8 @@ class ExecutionError(RuntimeError):
 
     Raised by :func:`repro.runtime.threadpool._execute_threaded` on the
     first task failure (fail-fast semantics) and by
-    :func:`repro.runtime.resilience._execute_resilient` once retries,
-    sequential degradation and checkpoint restarts are exhausted.
+    :func:`repro.runtime.resilience._execute_resilient` once a group's
+    checkpoint replays, the last one sequential, are exhausted.
     """
 
     def __init__(

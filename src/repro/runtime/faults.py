@@ -332,20 +332,19 @@ class FaultPlan:
         return f"FaultPlan({self.describe()})"
 
 
-def poison_task_output(grid, task) -> int:
+def poison_task_output(grid, task) -> None:
     """Overwrite a task's written regions with NaN (silent corruption).
 
     Models a worker returning garbage: every point the task wrote — at
-    every time level it advanced — is replaced with NaN in the
-    corresponding ping-pong buffer.  Returns the number of poisoned
-    points.  Integer grids cannot represent NaN; callers treat
-    ``corrupt`` as ``crash`` for those (see ``_execute_resilient``).
+    every time level it advanced, in every field of a staged system —
+    is replaced with NaN in the corresponding ping-pong buffer.  Integer
+    grids cannot represent NaN; the task body treats ``corrupt`` as
+    ``crash`` for those (see :func:`repro.runtime.threadpool._run_task`).
     """
-    poisoned = 0
     for a in task.actions:
         dst = grid.at(a.t + 1)
-        idx = tuple(slice(lo + h, hi + h)
-                    for (lo, hi), h in zip(a.region, grid.spec.halo))
+        # the region is spatial: a staged buffer's field axis leads
+        idx = (Ellipsis,) + tuple(
+            slice(lo + h, hi + h)
+            for (lo, hi), h in zip(a.region, grid.spec.halo))
         dst[idx] = np.nan
-        poisoned += a.points
-    return poisoned

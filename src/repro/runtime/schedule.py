@@ -316,22 +316,43 @@ class RegionSchedule:
                     )
 
 
-def _execute_schedule(spec: StencilSpec, grid: Grid,
-                      schedule: RegionSchedule, budget=None) -> np.ndarray:
-    """Sequential schedule walk (the ``serial`` backend's engine)."""
-    from repro.api.driver import drive_groups, run_actions
+def _check_inputs(spec: StencilSpec, grid: Grid, schedule: RegionSchedule,
+                  backend: str, num_threads: int = 1, plan=None) -> None:
+    """Refuse what a shared-buffer executor cannot run, before any write.
 
+    One check for the ``serial``, ``threaded`` and ``resilient``
+    engines; ``backend`` names the refusing one in the message.
+    """
+    if num_threads < 1:
+        raise ValueError(f"num_threads must be >= 1, got {num_threads}")
     if spec.is_periodic:
         raise ValueError("region schedules assume non-periodic boundaries")
     if schedule.private_tasks:
         raise ValueError(
             f"schedule {schedule.scheme!r} needs private task storage; "
-            f"use its dedicated executor (execute_overlapped)"
+            f"{backend} execution supports shared-buffer schedules only"
         )
     if grid.shape != schedule.shape:
         raise ValueError(
             f"grid shape {grid.shape} != schedule shape {schedule.shape}"
         )
+    if plan is not None:
+        if plan.private:
+            raise ValueError(
+                f"ghost-zone plans have no {backend} path; use backend "
+                f"'compiled'"
+            )
+        if (plan.shape != schedule.shape or plan.steps != schedule.steps
+                or plan.scheme != schedule.scheme):
+            raise ValueError("plan was compiled for a different schedule")
+
+
+def _execute_schedule(spec: StencilSpec, grid: Grid,
+                      schedule: RegionSchedule, budget=None) -> np.ndarray:
+    """Sequential schedule walk (the ``serial`` backend's engine)."""
+    from repro.api.driver import drive_groups, run_actions
+
+    _check_inputs(spec, grid, schedule, "serial")
     drive_groups(
         schedule,
         lambda gi, gid, ti, task: run_actions(spec, grid, task.actions),

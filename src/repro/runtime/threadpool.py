@@ -16,20 +16,25 @@ synchronisation beyond the barrier is needed — the paper's
 Failure semantics are **fail-fast**: on the first task exception the
 group's still-pending futures are cancelled, the running ones are
 joined, and a structured :class:`~repro.runtime.errors.ExecutionError`
-naming the failing task and group is raised.  Without this, every
-future ran to completion and a partially-updated grid was
-indistinguishable from success.  For retry/checkpoint recovery
-semantics use the ``resilient`` backend.
+naming the failing task and group is raised.  The ``resilient``
+backend runs the same task body (:func:`_run_task`) and adds
+checkpoint/replay recovery around each group.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Optional
 
 import numpy as np
 
+from repro.runtime.errors import DeadlineExceeded, InjectedFault
 from repro.runtime.faults import FaultPlan, poison_task_output
-from repro.runtime.schedule import RegionSchedule, ScheduledTask
+from repro.runtime.schedule import (
+    RegionSchedule,
+    ScheduledTask,
+    _check_inputs,
+)
 from repro.stencils.grid import Grid
 from repro.stencils.spec import StencilSpec
 
@@ -42,27 +47,66 @@ def _run_task(
     index: int = 0,
     fault_plan: Optional[FaultPlan] = None,
     units=None,
-) -> int:
+    deadline_s: Optional[float] = None,
+    wall=None,
+) -> None:
+    """One task: stall/crash probes, actions, corrupt probe, deadline.
+
+    ``units`` switches the action loop to the task's precompiled
+    allocation-free units (see :mod:`repro.engine.plan`).  An overrun
+    of ``deadline_s`` raises :class:`DeadlineExceeded` after the
+    actions ran; a stall that outlives the resilient backend's
+    whole-run clock ``wall`` raises
+    :class:`~repro.runtime.errors.StallTimeoutError`.
+    """
+    t0 = time.perf_counter()
     if fault_plan is not None:
         f = fault_plan.stall_fault(group, index)
         if f is not None:
-            import time
-            time.sleep(f.stall_s)
+            # sleep in slices so a stall that outlives the wall-clock
+            # budget surfaces as a structured error, not a hung suite
+            end = t0 + f.stall_s
+            while (now := time.perf_counter()) < end:
+                if wall is not None:
+                    wall.check(task.label or f"g{group}t{index}", group, now)
+                time.sleep(min(0.02, end - now))
         fault_plan.raise_if_crash(group, index)
-    pts = 0
     if units is not None:
         from repro.engine.plan import run_units
 
         run_units(units, grid, spec)
-        pts = task.points
     else:
         for a in task.actions:
             spec.apply_region(grid.at(a.t), grid.at(a.t + 1), a.region)
-            pts += a.points
-    if fault_plan is not None and not np.issubdtype(spec.dtype, np.integer):
-        if fault_plan.corrupt_fault(group, index) is not None:
-            poison_task_output(grid, task)
-    return pts
+    if (fault_plan is not None
+            and fault_plan.corrupt_fault(group, index) is not None):
+        if np.issubdtype(spec.dtype, np.integer):
+            # integer grids cannot hold NaN; model as a crash so the
+            # failure is loud instead of unrepresentable
+            raise InjectedFault("corrupt", group, index)
+        poison_task_output(grid, task)
+    if deadline_s is not None:
+        elapsed = time.perf_counter() - t0
+        if elapsed > deadline_s:
+            raise DeadlineExceeded(task.label or f"g{group}t{index}",
+                                   elapsed, deadline_s)
+
+
+def _task_runner(spec: StencilSpec, grid: Grid,
+                 fault_plan: Optional[FaultPlan], plan,
+                 deadline_s: Optional[float] = None, wall=None):
+    """The ``run_one`` both pooled backends hand to the group driver."""
+    # materialise per-group units on the main thread: the plan's unit
+    # cache is lazy and must not be populated from workers
+    units = ([plan.task_units(gi) for gi in range(len(plan.group_ids))]
+             if plan is not None else None)
+
+    def run_one(gi, gid, ti, task):
+        _run_task(spec, grid, task, gid, ti, fault_plan,
+                  units[gi][ti] if units is not None else None,
+                  deadline_s, wall)
+
+    return run_one
 
 
 def _execute_threaded(
@@ -91,37 +135,9 @@ def _execute_threaded(
     never handed to threads, so the barrier-group independence contract
     is untouched).
     """
-    if num_threads < 1:
-        raise ValueError(f"num_threads must be >= 1, got {num_threads}")
-    if spec.is_periodic:
-        raise ValueError("region schedules assume non-periodic boundaries")
-    if grid.shape != schedule.shape:
-        raise ValueError(
-            f"grid shape {grid.shape} != schedule shape {schedule.shape}"
-        )
-    if plan is not None:
-        if plan.private:
-            raise ValueError(
-                "ghost-zone plans have no threaded path; use backend "
-                "'compiled'"
-            )
-        if (plan.shape != schedule.shape or plan.steps != schedule.steps
-                or plan.scheme != schedule.scheme):
-            raise ValueError("plan was compiled for a different schedule")
+    _check_inputs(spec, grid, schedule, "threaded", num_threads, plan)
     from repro.api.driver import drive_groups
 
-    if plan is not None:
-        # materialise per-group units on the main thread: the plan's
-        # unit cache is lazy and must not be populated from workers
-        all_units = [plan.task_units(gi)
-                     for gi in range(len(plan.group_ids))]
-    else:
-        all_units = None
-
-    def run_one(gi, gid, ti, task):
-        group_units = all_units[gi] if all_units is not None else None
-        return _run_task(spec, grid, task, gid, ti, fault_plan,
-                         group_units[ti] if group_units else None)
-
-    drive_groups(schedule, run_one, num_threads=num_threads, budget=budget)
+    drive_groups(schedule, _task_runner(spec, grid, fault_plan, plan),
+                 num_threads=num_threads, budget=budget)
     return grid.interior(schedule.steps)

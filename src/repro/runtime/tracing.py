@@ -30,7 +30,7 @@ class TaskTrace:
 
 @dataclass
 class RuntimeEvent:
-    """One resilience-layer event (retry, checkpoint, restore, guard…).
+    """One resilience-layer event (checkpoint, restore, guard, degrade…).
 
     Recorded by :func:`repro.runtime.resilience._execute_resilient`,
     the distributed simulator and the elastic process coordinator

@@ -73,7 +73,7 @@ def test_runstats_roundtrip_with_all_blocks():
                              seconds=0.01, detail="d")],
         comm=CommStats(messages=4, bytes_sent=1024,
                        stage_bytes={0: 512, 1: 512}, drops=1),
-        resilience=ResilienceReport(scheme="tess", task_retries=2,
+        resilience=ResilienceReport(scheme="tess", restores=2,
                                     checkpoints_taken=3),
         cache=CacheStats(hits=5, misses=1, compile_seconds=0.02),
         plan_compiles=1, cache_hits=2,
@@ -93,7 +93,7 @@ def test_runstats_roundtrip_with_all_blocks():
     assert clone.comm.stage_bytes == {0: 512, 1: 512}
     assert isinstance(clone.resilience, ResilienceReport)
     assert clone.resilience.describe()  # live accessor works
-    assert clone.resilience.task_retries == 2
+    assert clone.resilience.restores == 2
     assert isinstance(clone.cache, CacheStats)
     assert clone.cache.hits == 5
     assert clone.degradations[0]["to"] == "serial"
@@ -105,6 +105,24 @@ def test_runstats_roundtrip_minimal():
     clone = RunStats.from_json(json.loads(_dumps(RunStats().to_json())))
     assert clone.comm is None and clone.resilience is None
     assert clone.cache is None and clone.verified is None
+
+
+def test_2_0_resilience_block_still_loads():
+    """Records journaled by 2.0.0 carry the removed ``task_retries``."""
+    record = RunStats(backend="resilient", scheme="tess").to_json()
+    record["resilience"] = {
+        "scheme": "tess", "groups_run": 4, "task_retries": 1,
+        "checkpoints_taken": 4, "checkpoint_bytes": 4096, "restores": 1,
+        "degraded_groups": 0, "guard_sweeps": 4, "guard_violations": 1,
+        "checkpoint_seconds": 0.001, "guard_seconds": 0.002,
+        "faults_seen": 1,
+    }
+    clone = RunStats.from_json(json.loads(_dumps(record)))
+    assert isinstance(clone.resilience, ResilienceReport)
+    assert clone.resilience.restores == 1
+    assert clone.resilience.guard_violations == 1
+    assert not hasattr(clone.resilience, "task_retries")
+    assert clone.resilience.describe()
 
 
 def test_live_run_result_roundtrips(tmp_path):

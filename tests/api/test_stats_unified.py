@@ -31,14 +31,14 @@ def _resilient_config(fault_plan=None):
 
 class TestNoDoubleCounting:
     def test_crash_retry_compiles_once(self):
-        """Regression: an injected crash forces a task retry, but the
-        plan was compiled before execution — the retry replays it, so
+        """Regression: an injected crash forces a group replay, but the
+        plan was compiled before execution — the replay reruns it, so
         the compile counter stays at one."""
         session = Session(heat2d(), cache=PlanCache())
         plan = FaultPlan([FaultSpec("crash", group=1, task=0)])
         result = session.run(_resilient_config(plan))
 
-        assert result.stats.resilience.task_retries >= 1  # fault fired
+        assert result.stats.resilience.restores >= 1  # fault fired
         assert result.ok  # and was recovered from
         assert result.stats.plan_compiles == 1
         assert result.stats.cache_hits == 0

@@ -221,6 +221,6 @@ def test_resilient_with_plan_recovers_faults():
                     FaultSpec(kind="corrupt", group=3, task=1)])
     out, report = _execute_resilient(
         spec, g_flt, sched, plan=plan, num_threads=2, fault_plan=fp,
-        policy=ResiliencePolicy(max_task_retries=2))
+        policy=ResiliencePolicy())
     assert np.array_equal(ref, out)
-    assert report.task_retries + report.restores > 0
+    assert report.restores > 0
