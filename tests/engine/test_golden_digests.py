@@ -10,11 +10,16 @@ digests with ``data/golden_digests.json``:
 * ``stats`` — :func:`~repro.runtime.schedule.schedule_stats`, floats
   by ``repr``;
 * ``plan`` — per barrier group, every unit's kind, step, written
-  rectangles, index bytes and slices, plus the ``PlanStats`` counters.
+  rectangles, index arrays and slices, plus the ``PlanStats`` counters
+  and the plan's index count (every index array of every unit).
 
-The digests were recorded before the tessellation builder and the
-compiler were rewritten to work from the rectangle table, so any change
-to a schedule or a plan — one action, one unit, one index — fails here.
+Integer arrays hash by their int64 values and the plan records index
+*counts*, not bytes, so the digests pin what a plan computes, not the
+width it stores it at.  The digests were recorded before the
+tessellation builder and the compiler were rewritten to work from the
+rectangle table, and re-recorded in this width-independent form before
+the table and the index arrays went to 32 bits; any change to a
+schedule or a plan — one action, one unit, one index — fails here.
 Regenerate (only from a tree whose plans are known good) with::
 
     PYTHONPATH=src python -m tests.engine.test_golden_digests --write
@@ -160,7 +165,12 @@ def build_case(kernel, cfg, opts):
 
 def _canon(x):
     if isinstance(x, np.ndarray):
-        return ["nd", str(x.dtype), list(x.shape),
+        if np.issubdtype(x.dtype, np.integer):
+            # by value, whatever the storage width
+            x, kind = x.astype(np.int64), "int"
+        else:
+            kind = str(x.dtype)
+        return ["nd", kind, list(x.shape),
                 hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()]
     if isinstance(x, slice):
         return ["sl", _canon(x.start), _canon(x.stop), _canon(x.step)]
@@ -189,7 +199,23 @@ UNIT_ATTRS = ("sp", "dp", "out_sl", "in_sls", "centre_sl", "coeffs", "idx",
 
 STAT_FIELDS = ("tasks", "actions", "groups", "stream_units", "batches",
                "batched_actions", "sliced_actions", "fused_actions",
-               "fallback_groups", "index_bytes")
+               "fallback_groups")
+
+
+def index_arrays(unit):
+    """Every flat index array a unit holds: a batch's ``idx`` and each
+    stage's position array of a staged batch."""
+    out = [unit.idx] if isinstance(getattr(unit, "idx", None),
+                                   np.ndarray) else []
+    for op in getattr(unit, "stage_ops", ()):
+        out += [x for x in op if isinstance(x, np.ndarray)]
+    return out
+
+
+def index_count(plan) -> int:
+    """Indices the plan holds, over every unit of every stream."""
+    return sum(a.size for stream in plan.streams for unit in stream
+               for a in index_arrays(unit))
 
 
 def _sha(obj) -> str:
@@ -231,6 +257,7 @@ def plan_digest(plan) -> str:
         plan.scheme, list(plan.shape), plan.steps, bool(plan.private),
         list(plan.group_ids), streams,
         [[f, getattr(plan.stats, f)] for f in STAT_FIELDS],
+        ["index_count", index_count(plan)],
     ])
 
 
