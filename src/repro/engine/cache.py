@@ -21,8 +21,10 @@ Two tiers:
   building anything.  Both paths share one LRU and one key space;
 * an optional on-disk pickle tier (``disk_dir=``) so plans survive
   process restarts — useful for repeated benchmark invocations.  Disk
-  entries are keyed by a SHA-256 of the in-memory key and validated by
-  unpickling; any failure is treated as a miss.
+  entries are keyed by a SHA-256 of the in-memory key and start with
+  the :data:`PLAN_FORMAT` tag, read before the plan is unpickled: a
+  record of another format is a plain miss that the recompile
+  overwrites, an unreadable one is quarantined.
 
 A module-level default cache (:func:`default_cache`,
 :func:`get_plan`) serves the executors and the CLI.
@@ -47,6 +49,7 @@ from repro.stencils.staged import canonical_spec
 __all__ = [
     "CacheEntry",
     "CacheStats",
+    "PLAN_FORMAT",
     "PlanCache",
     "default_cache",
     "get_plan",
@@ -54,6 +57,12 @@ __all__ = [
     "plan_key",
     "spec_signature",
 ]
+
+
+#: format tag of a disk-tier record: change it whenever pickled plans
+#: stop loading into the current unit classes (3.1.0: int32 tables and
+#: indices, batch units with a widening ``base``)
+PLAN_FORMAT = "repro-plan/2"
 
 
 def spec_signature(spec: StencilSpec) -> Tuple:
@@ -212,6 +221,10 @@ class PlanCache:
             return None
         try:
             with open(path, "rb") as fh:
+                if pickle.load(fh) != PLAN_FORMAT:
+                    # another format's record (an older release): a
+                    # plain miss; the recompile overwrites it
+                    return None
                 stored_key, plan = pickle.load(fh)
         except Exception:
             # corrupted/truncated pickle (a crashed writer, disk rot):
@@ -238,6 +251,7 @@ class PlanCache:
             os.makedirs(self.disk_dir, exist_ok=True)
             tmp = f"{path}.tmp.{os.getpid()}"
             with open(tmp, "wb") as fh:
+                pickle.dump(PLAN_FORMAT, fh, protocol=pickle.HIGHEST_PROTOCOL)
                 pickle.dump((key, plan), fh, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, path)
             self.stats.disk_stores += 1

@@ -21,6 +21,15 @@ engine uses:
   layout, so this too is bit-identical while replacing thousands of
   tiny ufunc dispatches with a handful of large ones.
 
+  A batch's indices are stored at 32 bits where the buffer allows
+  (:func:`repro.engine.rects.index_dtype`) and widened once per call:
+  ``ish = idx + base`` with ``base = min(0, *tap offsets)`` fixed at
+  compile time, so every ``ish`` is a valid non-negative index.  Tap
+  ``k`` then gathers ``flat_src[off_k - base:]`` at ``ish`` and the
+  scatter writes ``flat_dst[-base:]`` at ``ish`` — one index pass per
+  unit instead of one per tap.  ``base`` is clamped at 0 because a
+  linear operator may be one-sided (every offset positive).
+
 Scratch buffers live in a :class:`ScratchArena`: one geometric-growth
 1D array per (name, dtype), reshaped into views on demand — zero
 steady-state allocation.  Arenas are per-thread (:func:`thread_arena`)
@@ -43,6 +52,7 @@ __all__ = [
     "life_slices",
     "life_batch",
     "life_batch_many",
+    "widen",
 ]
 
 
@@ -107,29 +117,38 @@ def linear_slices(src, dst, out_sl, in_sls, coeffs, arena) -> None:
             np.add(out, tmp, out=out)
 
 
-def linear_batch(flat_src, flat_dst, idx, off_flats, coeffs, arena) -> None:
+def widen(idx, base, arena, name: str = "bidx") -> np.ndarray:
+    """``idx + base`` as ``np.intp`` in arena buffer ``name``: a batch
+    unit's one index pass (``dtype`` explicit, so NumPy 1.x and 2.x
+    widen alike)."""
+    ish = arena.get(name, idx.shape[0], np.intp)
+    np.add(idx, base, out=ish, dtype=np.intp)
+    return ish
+
+
+def linear_batch(flat_src, flat_dst, idx, base, off_flats, coeffs,
+                 arena) -> None:
     """Many same-step actions of a linear stencil as one gather/scatter.
 
     ``idx`` holds the flat (padded-array) indices of every output
-    point; tap ``k`` reads ``flat_src[idx + off_flats[k]]``.  The
-    accumulation order per point matches the naive operator exactly.
+    point; tap ``k`` reads ``flat_src[idx + off_flats[k]]``, gathered
+    at the widened ``idx + base``.  The accumulation order per point
+    matches the naive operator exactly.
     """
     n = idx.shape[0]
-    ish = arena.get("bidx", n, np.intp)
+    ish = widen(idx, base, arena)
     acc = arena.get("bacc", n, flat_src.dtype)
     g = arena.get("bg", n, flat_src.dtype)
-    np.add(idx, off_flats[0], out=ish)
-    np.take(flat_src, ish, out=acc)
+    np.take(flat_src[off_flats[0] - base:], ish, out=acc)
     np.multiply(acc, coeffs[0], out=acc)
     for off, c in zip(off_flats[1:], coeffs[1:]):
-        np.add(idx, off, out=ish)
-        np.take(flat_src, ish, out=g)
+        np.take(flat_src[off - base:], ish, out=g)
         np.multiply(g, c, out=g)
         np.add(acc, g, out=acc)
-    flat_dst[idx] = acc
+    flat_dst[-base:][ish] = acc
 
 
-def linear_batch_many(flat_src, flat_dst, idx, off_flats, coeffs,
+def linear_batch_many(flat_src, flat_dst, idx, base, off_flats, coeffs,
                       arena) -> None:
     """:func:`linear_batch` across a leading instance axis.
 
@@ -141,18 +160,16 @@ def linear_batch_many(flat_src, flat_dst, idx, off_flats, coeffs,
     """
     n = flat_src.shape[0]
     m = idx.shape[0]
-    ish = arena.get("bidx", m, np.intp)
+    ish = widen(idx, base, arena)
     acc = arena.get("bacc", n * m, flat_src.dtype).reshape(n, m)
     g = arena.get("bg", n * m, flat_src.dtype).reshape(n, m)
-    np.add(idx, off_flats[0], out=ish)
-    np.take(flat_src, ish, axis=1, out=acc)
+    np.take(flat_src[:, off_flats[0] - base:], ish, axis=1, out=acc)
     np.multiply(acc, coeffs[0], out=acc)
     for off, c in zip(off_flats[1:], coeffs[1:]):
-        np.add(idx, off, out=ish)
-        np.take(flat_src, ish, axis=1, out=g)
+        np.take(flat_src[:, off - base:], ish, axis=1, out=g)
         np.multiply(g, c, out=g)
         np.add(acc, g, out=acc)
-    flat_dst[:, idx] = acc
+    flat_dst[:, -base:][:, ish] = acc
 
 
 # ---------------------------------------------------------------------------
@@ -183,21 +200,19 @@ def life_slices(src, dst, out_sl, in_sls, centre_idx, arena) -> None:
     np.copyto(out, born, casting="unsafe")
 
 
-def life_batch(flat_src, flat_dst, idx, off_flats, centre_off, arena) -> None:
+def life_batch(flat_src, flat_dst, idx, base, off_flats, centre_off,
+               arena) -> None:
     """Batched Conway rule over flat indices (gather → rule → scatter)."""
     m = idx.shape[0]
-    ish = arena.get("bidx", m, np.intp)
+    ish = widen(idx, base, arena)
     n = arena.get("nbuf", m, np.uint8)
     g = arena.get("gbuf", m, np.uint8)
-    np.add(idx, off_flats[0], out=ish)
-    np.take(flat_src, ish, out=n)
+    np.take(flat_src[off_flats[0] - base:], ish, out=n)
     for off in off_flats[1:]:
-        np.add(idx, off, out=ish)
-        np.take(flat_src, ish, out=g)
+        np.take(flat_src[off - base:], ish, out=g)
         np.add(n, g, out=n)
     centre = arena.get("cbuf", m, np.uint8)
-    np.add(idx, centre_off, out=ish)
-    np.take(flat_src, ish, out=centre)
+    np.take(flat_src[centre_off - base:], ish, out=centre)
     born = arena.get("b1", m, np.bool_)
     two = arena.get("b2", m, np.bool_)
     alive = arena.get("b3", m, np.bool_)
@@ -208,28 +223,25 @@ def life_batch(flat_src, flat_dst, idx, off_flats, centre_off, arena) -> None:
     np.logical_or(born, two, out=born)
     out = arena.get("obuf", m, np.uint8)
     np.copyto(out, born, casting="unsafe")
-    flat_dst[idx] = out
+    flat_dst[-base:][ish] = out
 
 
-def life_batch_many(flat_src, flat_dst, idx, off_flats, centre_off,
+def life_batch_many(flat_src, flat_dst, idx, base, off_flats, centre_off,
                     arena) -> None:
     """:func:`life_batch` across a leading instance axis (exact
     integer/boolean work, so the widened buffers cannot change results).
     """
     nn = flat_src.shape[0]
     m = idx.shape[0]
-    ish = arena.get("bidx", m, np.intp)
+    ish = widen(idx, base, arena)
     n = arena.get("nbuf", nn * m, np.uint8).reshape(nn, m)
     g = arena.get("gbuf", nn * m, np.uint8).reshape(nn, m)
-    np.add(idx, off_flats[0], out=ish)
-    np.take(flat_src, ish, axis=1, out=n)
+    np.take(flat_src[:, off_flats[0] - base:], ish, axis=1, out=n)
     for off in off_flats[1:]:
-        np.add(idx, off, out=ish)
-        np.take(flat_src, ish, axis=1, out=g)
+        np.take(flat_src[:, off - base:], ish, axis=1, out=g)
         np.add(n, g, out=n)
     centre = arena.get("cbuf", nn * m, np.uint8).reshape(nn, m)
-    np.add(idx, centre_off, out=ish)
-    np.take(flat_src, ish, axis=1, out=centre)
+    np.take(flat_src[:, centre_off - base:], ish, axis=1, out=centre)
     born = arena.get("b1", nn * m, np.bool_).reshape(nn, m)
     two = arena.get("b2", nn * m, np.bool_).reshape(nn, m)
     alive = arena.get("b3", nn * m, np.bool_).reshape(nn, m)
@@ -240,4 +252,4 @@ def life_batch_many(flat_src, flat_dst, idx, off_flats, centre_off,
     np.logical_or(born, two, out=born)
     out = arena.get("obuf", nn * m, np.uint8).reshape(nn, m)
     np.copyto(out, born, casting="unsafe")
-    flat_dst[:, idx] = out
+    flat_dst[:, -base:][:, ish] = out

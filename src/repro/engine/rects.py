@@ -6,6 +6,11 @@ expansion of many rectangles at once, the exact same-step
 write-disjointness proof (Theorem 3.5's disjoint half) and the greedy
 rectangle fusion fixpoint, each a fixed number of NumPy passes over
 every layer at once instead of a Python loop per rectangle.
+
+Table columns are int32 (:class:`~repro.runtime.schedule.ScheduleTable`);
+every product or composite key over them promotes to int64 before it
+multiplies.  Flat indices come back at the narrowest width the buffer
+they address allows (:func:`index_dtype`).
 """
 
 from __future__ import annotations
@@ -28,17 +33,26 @@ def ragged_arange(counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
 
 
+def index_dtype(extent: int):
+    """The dtype of flat indices into a buffer of ``extent`` elements:
+    int32 below 2**31, else ``np.intp``."""
+    return np.int32 if extent <= np.iinfo(np.int32).max else np.intp
+
+
 def flat_indices(lo: np.ndarray, hi: np.ndarray, halo: Sequence[int],
-                 strides: Sequence[int]) -> np.ndarray:
+                 strides: Sequence[int], extent: int) -> np.ndarray:
     """Flat padded-buffer indices of rectangles' cells.
 
     Rectangle by rectangle (rows of ``lo``/``hi``), each in C order —
     one vectorised expansion for any number of rectangles: rows of the
     leading axes first, then each row's contiguous run (``strides`` are
-    C-order element strides, so the last one is 1).
+    C-order element strides, so the last one is 1).  ``extent`` is the
+    flat size of the buffer the indices address (padded points ×
+    fields); it picks their dtype (:func:`index_dtype`).  The
+    arithmetic runs in int64 whatever the width of ``lo``/``hi``.
     """
-    ext = np.maximum(hi - lo, 0)
-    nrows = np.prod(ext[:, :-1], axis=1, dtype=np.int64) * (ext[:, -1] > 0)
+    ext = np.maximum(hi - lo, 0).astype(np.int64)
+    nrows = np.prod(ext[:, :-1], axis=1) * (ext[:, -1] > 0)
     rect = np.repeat(np.arange(len(lo)), nrows)
     local = ragged_arange(nrows)
     start = (lo[rect] + np.asarray(halo, dtype=np.int64)) @ \
@@ -49,7 +63,7 @@ def flat_indices(lo: np.ndarray, hi: np.ndarray, halo: Sequence[int],
     # cell i of the row starting at ``start`` is ``start + i``
     runs = ext[rect, -1]
     first = np.cumsum(runs) - runs
-    flat = np.arange(int(runs.sum()), dtype=np.intp)
+    flat = np.arange(int(runs.sum()), dtype=index_dtype(extent))
     flat += np.repeat(start - first, runs)
     return flat
 
@@ -109,17 +123,19 @@ def overlapping_layers(starts: np.ndarray, sizes: np.ndarray,
     large = np.flatnonzero(sizes > PAIRWISE_MAX)
     if large.size:
         # every flat index is below ``cells``; a cell of the k-th layer
-        # of a chunk gets key k * cells + flat
+        # of a chunk gets key k * cells + flat, below part.size * cells
         cells = int(strides[0]) * (int(hi[:, 0].max()) + int(halo[0]))
-        points = np.prod(hi - lo, axis=1)
+        points = np.prod(hi - lo, axis=1, dtype=np.int64)
         csum = np.concatenate(([0], np.cumsum(points)))
         weight = csum[starts[large] + sizes[large]] - csum[starts[large]]
         for i, j in chunks(weight):
             part = large[i:j]
             rows = (np.repeat(starts[part], sizes[part])
                     + ragged_arange(sizes[part]))
-            offset = np.repeat(np.arange(part.size) * cells, sizes[part])
-            keys = flat_indices(lo[rows], hi[rows], halo, strides)
+            offset = np.repeat(np.arange(part.size, dtype=np.int64) * cells,
+                               sizes[part])
+            keys = flat_indices(lo[rows], hi[rows], halo, strides,
+                                part.size * cells)
             keys += np.repeat(offset, points[rows])
             keys.sort()
             dup = keys[1:][keys[1:] == keys[:-1]]

@@ -172,6 +172,8 @@ def test_disk_wrong_key_is_plain_miss_not_corruption(tmp_path):
     file) is a miss but NOT corruption — it is not quarantined."""
     import pickle
 
+    from repro.engine.cache import PLAN_FORMAT
+
     spec = get_stencil("heat1d")
     sched_a = _sched(spec, steps=4)
     sched_b = _sched(spec, steps=8)
@@ -180,6 +182,7 @@ def test_disk_wrong_key_is_plain_miss_not_corruption(tmp_path):
     plan_b = compile_plan(spec, sched_b)
     (path,) = tmp_path.glob("plan-*.pkl")
     with open(path, "wb") as fh:
+        pickle.dump(PLAN_FORMAT, fh)    # the current format, wrong key
         pickle.dump((plan_key(spec, sched_b), plan_b), fh)
     c2 = PlanCache(disk_dir=str(tmp_path))
     c2.get(spec, sched_a)
@@ -187,6 +190,39 @@ def test_disk_wrong_key_is_plain_miss_not_corruption(tmp_path):
     assert c2.stats.disk_hits == 0
     assert c2.stats.misses == 1
     assert path.exists()  # healthy file left alone (then overwritten)
+
+
+@pytest.mark.parametrize("tag", [None, "repro-plan/1"],
+                         ids=["untagged-3.0.0", "other-tag"])
+def test_disk_record_of_another_format_is_plain_miss(tmp_path, tag):
+    """A record of another plan format — 3.0.0's untagged ``(key,
+    plan)`` or another tag — is a plain miss, not corruption; the
+    recompile overwrites it in the current format."""
+    import pickle
+
+    from repro.engine.cache import PLAN_FORMAT
+
+    spec = get_stencil("heat1d")
+    sched = _sched(spec)
+    c1 = PlanCache(disk_dir=str(tmp_path))
+    c1.get(spec, sched)
+    (path,) = tmp_path.glob("plan-*.pkl")
+    with open(path, "wb") as fh:
+        if tag is not None:
+            pickle.dump(tag, fh)
+        pickle.dump((plan_key(spec, sched), compile_plan(spec, sched)), fh)
+    c2 = PlanCache(disk_dir=str(tmp_path))
+    c2.get(spec, sched)
+    assert c2.stats.disk_hits == 0
+    assert c2.stats.misses == 1
+    assert c2.stats.disk_corrupt == 0
+    assert not path.with_suffix(".pkl.corrupt").exists()
+    assert c2.stats.disk_stores == 1
+    with open(path, "rb") as fh:
+        assert pickle.load(fh) == PLAN_FORMAT
+    c3 = PlanCache(disk_dir=str(tmp_path))
+    c3.get(spec, sched)
+    assert c3.stats.disk_hits == 1
 
 
 def test_cache_stats_dict_round_trips_disk_corrupt():
