@@ -3,25 +3,22 @@
 
 Partitions a Heat-2D grid into slabs across simulated ranks, runs the
 tessellation with real per-stage boundary exchanges (validated against
-the single-node reference), repeats the run on the elastic *process*
-runtime while killing a rank mid-flight, prints the communication
-plan, and estimates cluster strong scaling with the α–β network model.
+the single-node reference), repeats the run with one exchange dropped
+and recovered by phase replay, prints the communication plan, and
+estimates cluster strong scaling with the α–β network model.
 
 Run:  python examples/distributed_heat.py
 """
-
-import numpy as np
 
 from repro import get_stencil, make_lattice
 from repro.api import RunConfig, Session
 from repro.bench.report import format_table
 from repro.distributed import (
     ClusterSpec,
-    ElasticConfig,
     communication_plan,
     simulate_distributed,
 )
-from repro.runtime import FaultPlan
+from repro.runtime import FaultPlan, ResiliencePolicy
 from repro.distributed.plan import plan_totals
 from repro.machine import paper_machine
 
@@ -45,17 +42,15 @@ def main() -> None:
     print(f"exchanges: {stats.messages} messages, "
           f"{stats.bytes_sent / 1024:.1f} KiB moved\n")
 
-    # 2. the same run on real rank processes, with a rank killed
-    # mid-run: the coordinator respawns it, replays the aborted phase
-    # from the committed checkpoints, and the result is bit-identical
-    res2 = session.run(
-        config, backend="elastic", verify=False,
-        fault_plan=FaultPlan.parse(["kill_rank@3/1"]),
-        elastic=ElasticConfig(stall_timeout_s=0.6, heartbeat_timeout_s=1.5),
-    )
-    assert np.array_equal(result.interior, res2.interior)
-    print(f"elastic process runtime, kill_rank@3/1 injected: recovered "
-          f"bit-identically ({res2.stats.comm.describe_resilience()})\n")
+    # 2. the same run with rank 1's band dropped at stage 3: the
+    # divergence detector catches it, the phase replays from its
+    # checkpoint, and the result is bit-identical
+    res2 = session.run(config, fault_plan=FaultPlan.parse(["drop@3/1"]),
+                       resilience=ResiliencePolicy())
+    assert res2.ok and res2.stats.comm.phase_restarts == 1
+    assert res2.interior.tobytes() == result.interior.tobytes()
+    print(f"drop@3/1 injected: recovered bit-identically "
+          f"({res2.stats.comm.describe_resilience()})\n")
 
     # 3. the analytic per-stage communication plan
     entries = communication_plan(spec, shape, result.lattice, ranks)

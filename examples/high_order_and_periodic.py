@@ -8,9 +8,9 @@
   block period gets one stretched block per axis (Fig. 6): the points
   in the stretched gap take all `b` updates in one intermediate stage.
 
-Both run through the unified pipeline: the block executor is the
-``baseline:blocked`` backend, and ``baseline:pointwise`` is the only
-backend whose ``supports()`` accepts periodic boundaries.
+Both run through the unified pipeline: the high-order tessellation
+runs on the ``serial`` schedule walker, and ``baseline:pointwise`` is
+the only backend whose ``supports()`` accepts periodic boundaries.
 
 Run:  python examples/high_order_and_periodic.py
 """
@@ -27,7 +27,7 @@ def high_order() -> None:
     steps = 48
     result = Session(spec).run(
         RunConfig(shape=shape, steps=steps, b=12,
-                  backend="baseline:blocked", verify=True),
+                  backend="serial", verify=True),
         grid=Grid(spec, shape, seed=1))
     assert result.ok
     widths = {hi - lo for lo, hi in result.lattice.profiles[0].cores}

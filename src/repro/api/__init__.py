@@ -11,8 +11,8 @@ Entry points:
   :class:`RunStats` schema;
 * :class:`RunConfig` — every knob of a run in one dataclass;
 * the backend registry (:func:`get_backend`, :func:`backend_names`,
-  :func:`register_backend`) — ``serial``, ``compiled``, ``threaded``,
-  ``resilient``, ``distributed``, ``elastic`` and the ``baseline:*``
+  :func:`register_backend`) — ``serial``, ``compiled``, ``batched``,
+  ``threaded``, ``resilient``, ``distributed`` and the ``baseline:*``
   family behind one :class:`Backend` protocol.
 
 See ``docs/architecture.md`` for the full pipeline diagram and schema

@@ -14,10 +14,7 @@ to singleton instances:
 ``threaded``        barrier-group thread pool, fail-fast
 ``resilient``       checkpoint/restart + retries + guards
 ``distributed``     in-process rank simulator with band exchanges
-``elastic``         real rank processes, heartbeats, crash recovery
 ``baseline:pointwise``  mask-oracle lattice executor (periodic OK)
-``baseline:blocked``    unmerged §3 block executor
-``baseline:merged``     §4.3 merged block executor
 ``baseline:overlapped`` ghost-zone executor for private-task schedules
 ================== =================================================
 
@@ -343,14 +340,13 @@ class OverlappedBackend(Backend):
 # lattice-walking and distributed backends
 # ---------------------------------------------------------------------------
 
-_TESS_FAMILY = frozenset({"tess", "tess-unmerged"})
+class PointwiseBackend(Backend):
+    """Mask-oracle tessellation executor (the only periodic-capable one)."""
 
-
-class _LatticeBaseline(Backend):
-    """A baseline lattice walker: no schedule, so no pre-flight."""
-
+    name = "baseline:pointwise"
     kind = "lattice"
-    schemes = _TESS_FAMILY
+    schemes = frozenset({"tess", "tess-unmerged"})
+    handles_periodic = True
 
     def supports(self, spec, config, schedule=None) -> Optional[str]:
         if config.sanitize:
@@ -359,45 +355,11 @@ class _LatticeBaseline(Backend):
                     "use a schedule backend or 'distributed'")
         return super().supports(spec, config, schedule)
 
-
-class PointwiseBackend(_LatticeBaseline):
-    """Mask-oracle tessellation executor (the only periodic-capable one)."""
-
-    name = "baseline:pointwise"
-    handles_periodic = True
-
     def execute(self, ctx: ExecutionContext) -> BackendOutcome:
         from repro.core.pointwise import run_pointwise
 
         out = run_pointwise(ctx.spec, ctx.grid, ctx.lattice,
                             ctx.config.steps, budget=ctx.budget)
-        return BackendOutcome(interior=out)
-
-
-class BlockedBackend(_LatticeBaseline):
-    """Unmerged §3 phase/stage block executor."""
-
-    name = "baseline:blocked"
-
-    def execute(self, ctx: ExecutionContext) -> BackendOutcome:
-        from repro.core.executor import _run_blocked
-
-        out = _run_blocked(ctx.spec, ctx.grid, ctx.lattice,
-                           ctx.config.steps, budget=ctx.budget)
-        return BackendOutcome(interior=out)
-
-
-class MergedBackend(_LatticeBaseline):
-    """§4.3 merged (``B_d`` + ``B_0``) block executor."""
-
-    name = "baseline:merged"
-    schemes = frozenset({"tess"})
-
-    def execute(self, ctx: ExecutionContext) -> BackendOutcome:
-        from repro.core.executor import _run_merged
-
-        out = _run_merged(ctx.spec, ctx.grid, ctx.lattice,
-                          ctx.config.steps, budget=ctx.budget)
         return BackendOutcome(interior=out)
 
 
@@ -426,33 +388,9 @@ class DistributedBackend(Backend):
         return BackendOutcome(interior=out, comm=stats)
 
 
-class ElasticBackend(Backend):
-    """Elastic multiprocess runtime (real rank processes)."""
-
-    name = "elastic"
-    kind = "lattice"
-    schemes = frozenset({"tess"})
-
-    def execute(self, ctx: ExecutionContext) -> BackendOutcome:
-        from repro.distributed.elastic import _execute_elastic
-
-        cfg = ctx.config
-        out, stats = _execute_elastic(
-            ctx.spec, ctx.grid, ctx.lattice, cfg.steps, cfg.ranks,
-            axis=cfg.axis,
-            fault_plan=cfg.fault_plan,
-            config=cfg.elastic,
-            ghost_override=cfg.ghost,
-            trace=ctx.trace,
-            budget=ctx.budget,
-        )
-        return BackendOutcome(interior=out, comm=stats)
-
-
 for _backend in (
     SerialBackend(), CompiledBackend(), BatchedBackend(),
     ThreadedBackend(), ResilientBackend(), DistributedBackend(),
-    ElasticBackend(), PointwiseBackend(), BlockedBackend(),
-    MergedBackend(), OverlappedBackend(),
+    PointwiseBackend(), OverlappedBackend(),
 ):
     register_backend(_backend)

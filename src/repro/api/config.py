@@ -2,13 +2,12 @@
 
 Every knob of a run (scheme and tile parameters, engine selection,
 thread count, sanitizer pre-flight, resilience policy, fault plan,
-distributed topology, elastic runtime tuning) lives here once.  The
-CLI, the autotuner, the bench harness and the examples all build a
-:class:`RunConfig` and hand it to :func:`repro.api.run` /
-:class:`repro.api.Session`.
+distributed topology) lives here once.  The CLI, the autotuner, the
+bench harness and the examples all build a :class:`RunConfig` and hand
+it to :func:`repro.api.run` / :class:`repro.api.Session`.
 
 Backend and engine names are normalised through alias tables so the
-historical spellings (``--procs``, ``--objective wallclock``, ...)
+historical spellings (``threadpool``, ``--objective wallclock``, ...)
 keep working while the canonical pair is ``backend``/``engine``.
 """
 
@@ -39,10 +38,6 @@ BACKEND_ALIASES: Dict[str, str] = {
     "many": "batched",
     "sim": "distributed",
     "simulated": "distributed",
-    "procs": "elastic",
-    "processes": "elastic",
-    "blocked": "baseline:blocked",
-    "merged": "baseline:merged",
     "pointwise": "baseline:pointwise",
     "overlapped-executor": "baseline:overlapped",
 }
@@ -123,7 +118,6 @@ class RunConfig:
     ghost: Optional[int] = None
     check_divergence: bool = False
     max_phase_restarts: int = 2
-    elastic: Any = None  #: Optional[ElasticConfig]
 
     # -- run-level QoS -----------------------------------------------
     #: Optional[QoSPolicy] — deadline, cancel token, admission ceiling
@@ -183,10 +177,10 @@ class RunConfig:
 
         This is the serving front's job-spec format: everything a
         remote caller can ask for survives the round trip; the live
-        in-process objects (``resilience``, ``fault_plan``, ``elastic``,
-        ``trace`` and the QoS cancel token) do not — a
-        service attaches its own.  Of the QoS policy, the declarative
-        scalars (deadline, memory ceiling, fallback chain) are kept.
+        in-process objects (``resilience``, ``fault_plan``, ``trace``
+        and the QoS cancel token) do not — a service attaches its own.
+        Of the QoS policy, the declarative scalars (deadline, memory
+        ceiling, fallback chain) are kept.
         """
         out: Dict[str, Any] = {
             "shape": list(self.shape) if self.shape is not None else None,

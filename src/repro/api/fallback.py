@@ -11,8 +11,6 @@ failure is a property of the backend, not of the caller's request:
 * :class:`~repro.runtime.qos.AdmissionRejected` — the backend family's
   estimated footprint exceeds the memory ceiling (a cheaper family may
   fit);
-* :class:`~repro.runtime.errors.RankLostError` — the elastic runtime
-  lost a rank for good (respawn budget exhausted);
 * :class:`~repro.runtime.errors.RunDeadlineExceeded` — the deadline
   expired at a cooperative boundary; each hop re-arms a *fresh* budget
   (per-attempt semantics), so a cheaper backend gets a full budget.
@@ -35,7 +33,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.api.backends import BackendUnsupported
-from repro.runtime.errors import RankLostError, RunDeadlineExceeded
+from repro.runtime.errors import RunDeadlineExceeded
 from repro.runtime.qos import AdmissionRejected
 
 __all__ = ["FALLBACK_RETRYABLE", "run_with_fallback"]
@@ -45,7 +43,6 @@ __all__ = ["FALLBACK_RETRYABLE", "run_with_fallback"]
 FALLBACK_RETRYABLE = (
     BackendUnsupported,
     AdmissionRejected,
-    RankLostError,
     RunDeadlineExceeded,
 )
 

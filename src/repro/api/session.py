@@ -33,9 +33,8 @@ lowers, and the lowering records the stats for the next run.
 Stats discipline: the compiled plan for one run is obtained **once**,
 before execution, through the session's plan cache.  Retries and
 restarts inside the resilient backend replay the already-compiled
-plan, so ``RunStats.plan_compiles`` counts each compile exactly once
-— the local backends report the per-run cache delta, the distributed
-backends report the rank-side tally from ``CommStats``.
+plan, so ``RunStats.plan_compiles`` — the per-run cache delta —
+counts each compile exactly once.
 """
 
 from __future__ import annotations
@@ -275,8 +274,7 @@ class Session:
             raise BackendUnsupported(backend.name, reason)
 
         trace = config.trace
-        if trace is None and backend.name in ("resilient", "distributed",
-                                              "elastic"):
+        if trace is None and backend.name in ("resilient", "distributed"):
             from repro.runtime.tracing import ExecutionTrace
 
             trace = ExecutionTrace(scheme=config.scheme)
@@ -417,11 +415,7 @@ class Session:
         )
         if sched_stats is not None:
             stats.schedule = sched_stats
-        if outcome.comm is not None:
-            # rank-side compiles are the authoritative tally: the local
-            # cache never saw these plans
-            stats.plan_compiles = int(outcome.comm.plan_compiles)
-        elif delta is not None:
+        if delta is not None:
             stats.plan_compiles = int(delta.misses)
             stats.cache_hits = int(delta.hits)
         return stats

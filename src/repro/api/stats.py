@@ -12,16 +12,15 @@ an execution depending on which entry point ran it: trace events
   ``sanitize``, ``lower`` to a compiled plan, ``execute``, ``verify``);
 * ``schedule`` — the structural schedule statistics
   (:func:`~repro.runtime.schedule.schedule_stats`);
-* ``events`` — the runtime event stream (retries, checkpoints,
-  restores, heartbeats, ...);
+* ``events`` — the runtime event stream (checkpoints, restores,
+  guards, fallback hops, ...);
 * ``comm`` / ``resilience`` / ``cache`` — the family-specific counter
   blocks, present when the backend produced them and ``None`` otherwise
   (never zero-filled fakes);
 * ``plan_compiles`` / ``cache_hits`` — the **single** authoritative
-  compile/hit counters.  Local backends report the per-run plan-cache
-  delta; distributed backends report the rank-side compile tally.  A
-  resilient run that retries or restarts never double-counts: the plan
-  is compiled once, before execution, and every replay reuses it.
+  compile/hit counters: the per-run plan-cache delta.  A resilient run
+  that restarts never double-counts: the plan is compiled once, before
+  execution, and every replay reuses it.
 """
 
 from __future__ import annotations
@@ -126,7 +125,11 @@ def _block_from_json(name: str, data: Optional[Dict[str, Any]]) -> Any:
     if name == "comm":
         from repro.distributed.exec import CommStats
 
-        data = dict(data)
+        # 3.x records carry the counters of the elastic runtime, which
+        # 4.0.0 removed
+        data = {k: v for k, v in data.items()
+                if k not in ("timeouts", "retries", "checksum_failures",
+                             "heartbeats", "respawns", "plan_compiles")}
         # JSON stringified the int stage keys; restore them
         data["stage_bytes"] = {int(k): int(v) for k, v in
                                data.get("stage_bytes", {}).items()}

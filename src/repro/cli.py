@@ -18,12 +18,9 @@ Commands
   scores on the simulated machine, ``--engine compiled`` times each
   candidate's compiled plan (``--objective simulate|wallclock`` is the
   historical spelling, kept as a hidden alias);
-* ``dist``   — §4.1: verified multi-rank execution plus an α–β
-  cluster strong-scaling estimate; ``--backend distributed`` (default)
-  is the in-process simulator, ``--backend elastic`` the real rank
-  processes (heartbeats, checksummed exchanges, crash recovery — see
-  ``docs/distributed.md``); ``--procs N`` is the historical spelling
-  of ``--backend elastic --ranks N``, kept as a hidden alias;
+* ``dist``   — §4.1: verified multi-rank execution on the in-process
+  rank simulator plus an α–β cluster strong-scaling estimate (see
+  ``docs/distributed.md``);
 * ``table``  — print the paper's Table 1 for a given dimension;
 * ``bench``  — forward to :mod:`repro.bench` (regenerate figures);
 * ``sanitize`` — structural schedule sanitizer: prove tessellation,
@@ -51,17 +48,15 @@ Errors map to distinct exit codes instead of tracebacks:
 3 = :class:`ExecutionError` (including :class:`RunCancelled`),
 4 = :class:`GuardViolation` (invariant
 guard / ghost-band divergence), 5 = :class:`SanitizerViolation`
-(structurally illegal schedule), 6 = :class:`RankLostError` (rank
-process lost, respawn budget spent), 7 = :class:`ExchangeTimeoutError`
-(boundary band never arrived within the retry budget),
-8 = :class:`ChecksumMismatchError` (band payload kept failing its CRC),
-9 = :class:`RunDeadlineExceeded` (the ``--deadline`` budget expired
-and no fallback backend finished in time),
+(structurally illegal schedule), 9 = :class:`RunDeadlineExceeded`
+(the ``--deadline`` budget expired and no fallback backend finished in
+time),
 10 = :class:`QueueSaturated` (the job queue refused a submission —
 back off and retry), 11 = :class:`JobNotFound` (``status``/``result``
 for an unknown job id), 12 = :class:`WorkerCrashed` (a job killed its
 isolated worker — segfault/OOM/SIGKILL — and was quarantined as
-``poisoned`` after exhausting its crash budget).
+``poisoned`` after exhausting its crash budget).  Codes 6–8 are
+retired (see ``docs/reliability.md``).
 """
 
 from __future__ import annotations
@@ -72,24 +67,18 @@ from typing import List, Optional
 
 from repro.api.builder import SCHEMES
 from repro.runtime.errors import (
-    EXIT_CHECKSUM,
     EXIT_DEADLINE,
-    EXIT_EXCHANGE_TIMEOUT,
     EXIT_EXECUTION,
     EXIT_GUARD,
     EXIT_JOB_NOT_FOUND,
     EXIT_QUEUE_SATURATED,
-    EXIT_RANK_LOST,
     EXIT_SANITIZER,
     EXIT_USAGE,
     EXIT_WORKER_CRASHED,
-    ChecksumMismatchError,
-    ExchangeTimeoutError,
     ExecutionError,
     GuardViolation,
     JobNotFound,
     QueueSaturated,
-    RankLostError,
     RunDeadlineExceeded,
     SanitizerViolation,
     WorkerCrashed,
@@ -176,31 +165,14 @@ def _build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--shape", type=int, nargs="+", default=None)
     dist.add_argument("--steps", type=int, default=16)
     dist.add_argument("-b", "--depth", type=int, default=4)
-    dist.add_argument("--backend", default="distributed", metavar="NAME",
-                      help="'distributed' = in-process rank simulator "
-                      "(default); 'elastic' = real rank processes with "
-                      "heartbeats, checksummed exchanges and crash "
-                      "recovery")
     dist.add_argument("--ranks", type=int, default=4)
     dist.add_argument("--nodes", type=int, nargs="+", default=[1, 2, 4, 8])
-    # historical spelling of --backend elastic --ranks N, hidden alias
-    dist.add_argument("--procs", type=int, default=None, metavar="N",
-                      help=argparse.SUPPRESS)
-    dist.add_argument("--heartbeat-ms", type=float, default=20.0,
-                      help="worker heartbeat period for the elastic "
-                      "backend (default 20 ms)")
-    dist.add_argument("--max-retries", type=int, default=3,
-                      help="per-message retransmit budget for the "
-                      "elastic backend")
-    dist.add_argument("--max-respawns", type=int, default=2,
-                      help="per-rank respawn budget for the elastic "
-                      "backend in --resilient mode")
     _add_resilience_args(dist)
     _add_qos_args(dist)
     dist.add_argument("--ghost", type=int, default=None,
-                      help="override the exchanged ghost-band width "
-                      "(the divergence detector still validates the "
-                      "required width)")
+                      help="widen the exchanged ghost band; a width "
+                      "below the lattice's required one is refused "
+                      "(exit 2, or exit 5 with --sanitize)")
     dist.add_argument("--check-divergence", action="store_true",
                       help="run the ghost-band divergence detector "
                       "(implied by --resilient)")
@@ -357,9 +329,8 @@ def _add_resilience_args(sub: argparse.ArgumentParser) -> None:
                      metavar="SPEC",
                      help="inject a deterministic fault: "
                      "kind@group[/task][xN], kind in "
-                     "crash|corrupt|stall|drop|garble (shared-memory / "
-                     "simulated paths) or kill_rank|stall_rank|drop_msg|"
-                     "flip_bits (elastic process runtime) (repeatable)")
+                     "crash|corrupt|stall (shared-memory executors) or "
+                     "drop|garble (distributed simulator) (repeatable)")
 
 
 def _add_qos_args(sub: argparse.ArgumentParser) -> None:
@@ -370,8 +341,8 @@ def _add_qos_args(sub: argparse.ArgumentParser) -> None:
                      "(exit 9; see docs/reliability.md)")
     sub.add_argument("--fallback", default=None, metavar="A,B,...",
                      help="comma-separated backend chain to degrade to "
-                     "when the primary backend refuses, loses a rank "
-                     "for good or blows the deadline (e.g. "
+                     "when the primary backend refuses, is refused "
+                     "admission or blows the deadline (e.g. "
                      "'threaded,serial'); hops are recorded in the "
                      "run stats")
 
@@ -594,60 +565,27 @@ def cmd_tune(args) -> int:
 
 def cmd_dist(args) -> int:
     from repro import get_stencil
-    from repro.api import RunConfig, Session, normalize_backend
+    from repro.api import RunConfig, Session
     from repro.bench.report import format_table
     from repro.distributed import ClusterSpec, simulate_distributed
     from repro.machine import paper_machine
+    from repro.runtime import ResiliencePolicy
 
     spec = get_stencil(args.kernel)
     shape = tuple(args.shape) if args.shape else {
         1: (400,), 2: (64, 64), 3: (20, 20, 20)
     }[spec.ndim]
-    backend = normalize_backend(args.backend)
-    if args.procs is not None:
-        backend = "elastic"
-    if backend not in ("distributed", "elastic"):
-        raise ValueError(
-            f"dist runs backend 'distributed' or 'elastic', got "
-            f"{backend!r}"
-        )
     fault_plan = _fault_plan(args)
     if fault_plan is not None:
         print(f"injecting: {fault_plan.describe()}")
 
     config = RunConfig(
         shape=shape, steps=args.steps, scheme="tess", b=args.depth,
-        backend=backend, verify=True, sanitize=args.sanitize,
+        backend="distributed", verify=True, sanitize=args.sanitize,
         fault_plan=fault_plan, ghost=args.ghost, qos=_qos_policy(args),
+        ranks=args.ranks, check_divergence=args.check_divergence,
+        resilience=ResiliencePolicy() if args.resilient else None,
     )
-    if backend == "elastic":
-        from repro.distributed import ElasticConfig, RetryPolicy
-
-        ranks = args.procs if args.procs is not None else args.ranks
-        # without --resilient, every recovery budget is zero: the first
-        # rank loss / exhausted exchange dies with its typed exit code
-        config = config.with_overrides({
-            "ranks": ranks,
-            "elastic": ElasticConfig(
-                heartbeat_s=args.heartbeat_ms / 1e3,
-                heartbeat_timeout_s=max(1.0, 50 * args.heartbeat_ms / 1e3),
-                retry=RetryPolicy(max_retries=args.max_retries),
-                max_respawns=args.max_respawns if args.resilient else 0,
-                max_phase_restarts=4 if args.resilient else 0,
-            ),
-        })
-        kind = "rank process(es)"
-    else:
-        from repro.runtime import ResiliencePolicy
-
-        ranks = args.ranks
-        config = config.with_overrides({
-            "ranks": ranks,
-            "check_divergence": args.check_divergence,
-            "resilience": ResiliencePolicy() if args.resilient else None,
-        })
-        kind = "simulated ranks"
-
     result = Session(spec).run(config)
     comm = result.stats.comm
     ok = bool(result.stats.verified)
@@ -655,7 +593,7 @@ def cmd_dist(args) -> int:
         print(f"degraded: {hop['from']} -> {hop['to']} "
               f"({hop['error']}: {hop['detail']})")
     if comm is not None:
-        print(f"{ranks} {kind} on {shape}: "
+        print(f"{args.ranks} simulated ranks on {shape}: "
               f"{'verified OK' if ok else 'MISMATCH'}; "
               f"{comm.messages} messages, {comm.bytes_sent} bytes")
         if comm.had_faults:
@@ -964,15 +902,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except GuardViolation as e:
         print(f"guard violation: {e}", file=sys.stderr)
         return EXIT_GUARD
-    except RankLostError as e:
-        print(f"rank lost: {e}", file=sys.stderr)
-        return EXIT_RANK_LOST
-    except ExchangeTimeoutError as e:
-        print(f"exchange timeout: {e}", file=sys.stderr)
-        return EXIT_EXCHANGE_TIMEOUT
-    except ChecksumMismatchError as e:
-        print(f"checksum mismatch: {e}", file=sys.stderr)
-        return EXIT_CHECKSUM
     except RunDeadlineExceeded as e:
         print(f"deadline exceeded: {e}", file=sys.stderr)
         return EXIT_DEADLINE

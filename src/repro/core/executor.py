@@ -1,7 +1,8 @@
 """Block-level tessellation executors.
 
-Two executors (the ``baseline:*`` backends) drive the rectangle-per-step
-block schedule of :mod:`repro.core.blocks`:
+Two executors drive the rectangle-per-step block schedule of
+:mod:`repro.core.blocks`.  No backend runs them; the tests call them
+directly as oracles for the schedule builders and the compiled plans:
 
 * :func:`_run_blocked` — the plain phase/stage structure of §3: per
   phase, stages ``0..d`` in order (barrier after each), every block of
@@ -134,9 +135,8 @@ def _run_blocked(
     t0: int = 0,
     on_block: Optional[BlockHook] = None,
     validate: bool = True,
-    budget=None,
 ) -> np.ndarray:
-    """Unmerged block walk (the ``baseline:blocked`` backend's engine)."""
+    """Unmerged block walk."""
     from repro.api.driver import phase_windows
 
     if steps < 0:
@@ -153,11 +153,7 @@ def _run_blocked(
     b = lattice.b
     slopes = _lattice_slopes(lattice)
     t_end = t0 + steps
-    if budget is not None:
-        budget.check("blocked entry")
     for tt, span in phase_windows(t0, t_end, b):
-        if budget is not None:
-            budget.check(f"phase t={tt}")
         for stage_plan in plan.stages:
             _run_stage(spec, grid, stage_plan.blocks,
                        f"stage{stage_plan.stage}", b, slopes, tt, span,
@@ -181,11 +177,9 @@ def _run_merged(
     t0: int = 0,
     on_block: Optional[BlockHook] = None,
     validate: bool = True,
-    budget=None,
 ) -> np.ndarray:
-    """Merged block walk (the ``baseline:merged`` backend's engine);
-    needs the merging condition (plateau width == core width), which
-    :func:`make_lattice` guarantees by default."""
+    """Merged block walk; needs the merging condition (plateau width ==
+    core width), which :func:`make_lattice` guarantees by default."""
     from repro.api.driver import phase_windows
 
     if steps < 0:
@@ -213,8 +207,6 @@ def _run_merged(
     # the lowest active stage (#uncut axes) plays the B_0 role
     omin = sum(1 for p in lattice.profiles if not p.cores)
 
-    if budget is not None:
-        budget.check("merged entry")
     # prologue: the very first lowest stage runs unmerged
     span0 = min(b, t_end - t0)
     if span0 > 0:
@@ -223,8 +215,6 @@ def _run_merged(
 
     level = 0
     for tt, span in phase_windows(t0, t_end, b):
-        if budget is not None:
-            budget.check(f"phase t={tt}")
         span_next = min(b, max(0, t_end - tt - b))
         cur = levels[level]
         # interior stages between the merge endpoints

@@ -16,21 +16,17 @@ This subpackage builds that plan on the simulated substrate:
 * :mod:`~repro.distributed.plan` — the analytic per-stage
   communication-volume plan derived from the real schedules;
 * :mod:`~repro.distributed.model` — a cluster cost model
-  (per-node machine × latency/bandwidth network) on top of it;
-* :mod:`~repro.distributed.transport` /
-  :mod:`~repro.distributed.worker` /
-  :mod:`~repro.distributed.elastic` — the elastic *process* runtime:
-  real rank processes, checksummed boundary-band exchanges with
-  timeout/backoff retransmits, heartbeat watchdog, and rank-crash
-  recovery from phase checkpoints (see ``docs/distributed.md``).
+  (per-node machine × latency/bandwidth network) on top of it.
+
+The simulator is the one distributed runtime (see
+``docs/distributed.md``); process-level crash containment lives in the
+service's worker isolation (:mod:`repro.service.isolation`).
 """
 
 from repro.distributed.partition import SlabPartition, build_ownership
 from repro.distributed.exec import CommStats
 from repro.distributed.plan import communication_plan, CommPlanEntry
 from repro.distributed.model import ClusterSpec, simulate_distributed
-from repro.distributed.transport import RetryPolicy
-from repro.distributed.elastic import ElasticConfig
 
 __all__ = [
     "SlabPartition",
@@ -40,6 +36,4 @@ __all__ = [
     "CommPlanEntry",
     "ClusterSpec",
     "simulate_distributed",
-    "RetryPolicy",
-    "ElasticConfig",
 ]

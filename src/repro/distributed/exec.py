@@ -10,9 +10,10 @@ Execution follows the tessellation's stage structure:
    edges — both parity buffers, since a band's points sit at mixed
    time levels mid-phase.
 
-The result is compared against the naive reference in the test-suite:
-an under-sized band or a missing exchange makes the numerics diverge,
-so the §4.1 communication plan is *validated*, not just asserted.
+The result is compared bitwise against the naive reference in the
+test-suite: a missing exchange makes the numerics diverge, so the §4.1
+communication plan is *validated*, not just asserted.  A band narrower
+than the lattice requires is refused before execution.
 Message counts/bytes are tallied into :class:`CommStats`.
 
 Fault tolerance (see ``docs/resilience.md``): the exchange consults an
@@ -48,14 +49,7 @@ from repro.stencils.spec import StencilSpec, region_is_empty
 
 @dataclass
 class CommStats:
-    """Tally of the exchanges (and injected faults) of a distributed run.
-
-    One schema for both execution paths: the in-process simulator
-    (:func:`_execute_distributed`) and the elastic multiprocess runtime
-    (:func:`repro.distributed.elastic._execute_elastic`) fill the same
-    counters, so reports and trace events compare like for like —
-    counters a path cannot exercise simply stay zero.
-    """
+    """Tally of the exchanges (and injected faults) of a distributed run."""
 
     messages: int = 0
     bytes_sent: int = 0
@@ -68,20 +62,6 @@ class CommStats:
     divergence_checks: int = 0
     #: phases replayed from their checkpoint after a detection
     phase_restarts: int = 0
-    #: receive timeouts observed while waiting for a boundary band
-    timeouts: int = 0
-    #: retransmit requests issued (after a timeout or a bad checksum)
-    retries: int = 0
-    #: CRC failures detected on received payloads
-    checksum_failures: int = 0
-    #: heartbeat messages the coordinator received
-    heartbeats: int = 0
-    #: rank processes respawned after a loss
-    respawns: int = 0
-    #: owned-block plan compilations reported by rank incarnations
-    #: (each incarnation compiles exactly once, at startup — never
-    #: per phase; see :class:`repro.distributed.worker._Worker`)
-    plan_compiles: int = 0
 
     def record(self, stage_idx: int, nbytes: int) -> None:
         self.messages += 1
@@ -90,28 +70,17 @@ class CommStats:
             self.stage_bytes.get(stage_idx, 0) + nbytes
         )
 
-    def merge_worker(self, other: Dict[str, int]) -> None:
-        """Fold a worker-reported counter dict into this tally."""
-        for key in ("drops", "garbles", "timeouts", "retries",
-                    "checksum_failures", "plan_compiles"):
-            setattr(self, key, getattr(self, key) + int(other.get(key, 0)))
-
     def describe_resilience(self) -> str:
         """One-line report of the failure/recovery counters."""
         return (
             f"drops={self.drops} garbles={self.garbles} "
-            f"timeouts={self.timeouts} retries={self.retries} "
-            f"checksum_failures={self.checksum_failures} "
-            f"heartbeats={self.heartbeats} respawns={self.respawns} "
             f"phase_restarts={self.phase_restarts} "
             f"divergence_checks={self.divergence_checks}"
         )
 
     @property
     def had_faults(self) -> bool:
-        return bool(self.drops or self.garbles or self.timeouts
-                    or self.retries or self.checksum_failures
-                    or self.respawns or self.phase_restarts)
+        return bool(self.drops or self.garbles or self.phase_restarts)
 
 
 def _execute_distributed(
@@ -141,12 +110,11 @@ def _execute_distributed(
     ``check_divergence`` runs the neighbour-consistency detector after
     every stage; ``resilient`` additionally checkpoints each phase and
     replays it on detection (up to ``max_phase_restarts`` times per
-    phase) instead of raising.  ``ghost_override`` forces a band width
-    different from the lattice-derived one — the detector always
-    validates against the *required* width, which is how an under-sized
-    band is caught instead of silently corrupting the run (with
-    ``sanitize=True``, ``Session``'s pre-flight reports it before
-    execution).
+    phase) instead of raising.  ``ghost_override`` widens the exchanged
+    band beyond the lattice-derived width; a band narrower than that
+    can serve wrong values, so it raises :class:`ValueError` naming
+    the required width before any rank replica is allocated (with
+    ``sanitize=True``, ``Session``'s pre-flight reports it first).
     """
     if spec.is_periodic:
         raise ValueError("distributed executor assumes Dirichlet boundaries")
@@ -159,6 +127,12 @@ def _execute_distributed(
     b = lattice.b
     ghost_required = part.ghost_width(lattice)
     ghost = ghost_required if ghost_override is None else int(ghost_override)
+    if ghost < ghost_required:
+        raise ValueError(
+            f"ghost band width {ghost} is below the required width "
+            f"{ghost_required} for this lattice over {ranks} ranks along "
+            f"axis {axis}; pass ghost >= {ghost_required} or leave it "
+            f"unset")
     bounds = part.bounds()
     itemsize = np.dtype(spec.dtype).itemsize
 
@@ -241,10 +215,7 @@ def _execute_distributed(
         ``±ghost_required`` window around their boundary: the updater
         is authoritative and the window lies inside both receive
         ranges.  Points updated by other ranks are excluded (they are
-        legitimately unknown to one side).  The required — not the
-        effective — band width is used, so an under-sized
-        ``ghost_override`` is caught here rather than silently
-        corrupting downstream phases.
+        legitimately unknown to one side).
         """
         for r in range(ranks - 1):
             hi = bounds[r][1]

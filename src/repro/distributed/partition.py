@@ -79,8 +79,8 @@ def build_ownership(lattice: TessLattice, part: SlabPartition):
     Returns ``(plan, owned)`` where ``plan`` is the
     :class:`~repro.core.blocks.PhasePlan` and ``owned[r][s]`` lists the
     blocks of stage ``s`` owned by rank ``r`` — the single definition
-    shared by the simulated executor, the structural sanitizer and the
-    elastic process runtime, so every path agrees on who computes what.
+    shared by the simulated executor and the structural sanitizer, so
+    both agree on who computes what.
     A block belongs to the rank holding the low corner of its clipped
     bounding box; degenerate (empty) blocks fall to rank 0, which never
     applies their (empty) regions.

@@ -42,16 +42,13 @@ from repro.runtime.schedule import (
 from repro.runtime.taskgraph import TaskGraph, TaskNode, build_taskgraph
 from repro.runtime.levelize import levelize
 from repro.runtime.errors import (
-    ChecksumMismatchError,
     DeadlineExceeded,
-    ExchangeTimeoutError,
     ExecutionError,
     GhostDivergenceError,
     GuardViolation,
     InjectedFault,
     JobNotFound,
     QueueSaturated,
-    RankLostError,
     SanitizerViolation,
     StallTimeoutError,
 )
@@ -86,16 +83,13 @@ __all__ = [
     "TaskNode",
     "build_taskgraph",
     "levelize",
-    "ChecksumMismatchError",
     "DeadlineExceeded",
-    "ExchangeTimeoutError",
     "ExecutionError",
     "GhostDivergenceError",
     "GuardViolation",
     "InjectedFault",
     "JobNotFound",
     "QueueSaturated",
-    "RankLostError",
     "StallTimeoutError",
     "FaultPlan",
     "FaultSpec",

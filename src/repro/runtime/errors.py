@@ -25,12 +25,6 @@ tracebacks:
   deadline expired (a stalled worker would otherwise hang the run
   forever; the per-task soft deadline cannot see a sleep that never
   returns);
-* :class:`RankLostError` / :class:`ExchangeTimeoutError` /
-  :class:`ChecksumMismatchError` — the elastic process runtime's
-  terminal verdicts (:mod:`repro.distributed.elastic`): a rank process
-  died (or was killed as a straggler) and the respawn budget is spent,
-  a boundary-band message never arrived within its retry budget, or a
-  payload kept failing its CRC across retransmits;
 * :class:`RunDeadlineExceeded` / :class:`RunCancelled` — the
   *run-level* QoS verdicts (:mod:`repro.runtime.qos`): the caller's
   :class:`~repro.runtime.qos.QoSPolicy` deadline expired at a
@@ -61,10 +55,10 @@ tracebacks:
 Exit-code mapping used by ``python -m repro`` (see
 :func:`repro.cli.main`): usage/:class:`ValueError` → 2,
 :class:`ExecutionError` → 3, :class:`GuardViolation` → 4,
-:class:`SanitizerViolation` → 5, :class:`RankLostError` → 6,
-:class:`ExchangeTimeoutError` → 7, :class:`ChecksumMismatchError` → 8,
-:class:`RunDeadlineExceeded` → 9, :class:`QueueSaturated` → 10,
-:class:`JobNotFound` → 11, :class:`WorkerCrashed` → 12.
+:class:`SanitizerViolation` → 5, :class:`RunDeadlineExceeded` → 9,
+:class:`QueueSaturated` → 10, :class:`JobNotFound` → 11,
+:class:`WorkerCrashed` → 12.  Codes 6–8 belonged to the process
+runtime removed in 4.0.0; they are retired, not reused.
 """
 
 from __future__ import annotations
@@ -78,9 +72,6 @@ EXIT_USAGE = 2
 EXIT_EXECUTION = 3
 EXIT_GUARD = 4
 EXIT_SANITIZER = 5
-EXIT_RANK_LOST = 6
-EXIT_EXCHANGE_TIMEOUT = 7
-EXIT_CHECKSUM = 8
 EXIT_DEADLINE = 9
 EXIT_QUEUE_SATURATED = 10
 EXIT_JOB_NOT_FOUND = 11
@@ -291,7 +282,7 @@ class RunDeadlineExceeded(ExecutionError):
 
     Raised by :meth:`repro.runtime.qos.RunBudget.check` at a
     cooperative boundary (executor entry, barrier group, time-tiled
-    phase, coordinator poll).  Unlike the per-task soft
+    phase, distributed stage).  Unlike the per-task soft
     :class:`DeadlineExceeded` and the resilient executor's
     :class:`StallTimeoutError`, this budget belongs to the *caller*:
     it spans the whole run attempt, is honoured identically by every
@@ -325,30 +316,6 @@ class RunCancelled(ExecutionError):
         ExecutionError.__init__(self, f"run cancelled at {where!r}")
 
 
-class RankLostError(ExecutionError):
-    """A rank process died (or was culled as a straggler) for good.
-
-    Raised by the elastic coordinator once a lost rank cannot be (or
-    may no longer be) respawned: the run is not resilient, or the
-    respawn budget is exhausted.  ``cause`` distinguishes a dead
-    process (``"dead"``), a missed heartbeat (``"heartbeat"``) and a
-    progress stall (``"straggler"``).
-    """
-
-    def __init__(self, rank: int, cause: str, *, respawns: int = 0,
-                 detail: str = ""):
-        self.rank = rank
-        self.cause = cause
-        self.respawns = respawns
-        extra = f": {detail}" if detail else ""
-        ExecutionError.__init__(
-            self,
-            f"rank {rank} lost ({cause}) after {respawns} respawn(s){extra}",
-            task_label=f"rank {rank}",
-            attempts=respawns + 1,
-        )
-
-
 class WorkerCrashed(ExecutionError):
     """A process-isolated service worker died while running a job.
 
@@ -379,61 +346,14 @@ class WorkerCrashed(ExecutionError):
         )
 
 
-class ExchangeTimeoutError(ExecutionError):
-    """A boundary-band message never arrived within the retry budget.
-
-    Raised (via the coordinator) when a receiving rank has exhausted
-    its per-message timeout + exponential-backoff retries waiting for a
-    neighbour's band.  A transient drop is healed by a retransmit
-    request; this error means the drop was persistent.
-    """
-
-    def __init__(self, stage: int, src: int, dst: int, attempts: int):
-        self.stage = stage
-        self.src = src
-        self.dst = dst
-        ExecutionError.__init__(
-            self,
-            f"boundary band {src}->{dst} missing at stage {stage} "
-            f"after {attempts} attempt(s)",
-            group=stage,
-            task_label=f"rank {dst}",
-            attempts=attempts,
-        )
-
-
-class ChecksumMismatchError(ExecutionError):
-    """A boundary-band payload kept failing its CRC across retries.
-
-    Every band carries a CRC32 of its serialized payload; a mismatch at
-    receive time means the message was corrupted in flight (the
-    ``flip_bits`` fault, or real memory/link corruption).  Transient
-    corruption is healed by a retransmit; this error means every
-    retransmit was corrupted too.
-    """
-
-    def __init__(self, stage: int, src: int, dst: int, attempts: int):
-        self.stage = stage
-        self.src = src
-        self.dst = dst
-        ExecutionError.__init__(
-            self,
-            f"boundary band {src}->{dst} failed checksum at stage {stage} "
-            f"{attempts} time(s)",
-            group=stage,
-            task_label=f"rank {dst}",
-            attempts=attempts,
-        )
-
-
 class GhostDivergenceError(GuardViolation):
     """Neighbouring ranks disagree on an exchanged boundary band.
 
     Fired by the distributed simulator's divergence detector: after a
     stage exchange, the two ranks of a neighbour pair must agree on
     every point either of them updated inside the shared
-    ``±ghost``-wide window around their slab boundary.  A dropped,
-    corrupted or under-sized exchange breaks that agreement.
+    ``±ghost``-wide window around their slab boundary.  A dropped or
+    corrupted exchange breaks that agreement.
     """
 
     def __init__(self, stage: int, rank_a: int, rank_b: int,

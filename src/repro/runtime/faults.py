@@ -16,17 +16,7 @@ well-defined probe points:
   corruption — only the group-level guard sweep can see it);
 * :meth:`FaultPlan.exchange_fault` — per source rank at each
   distributed stage exchange; ``drop`` skips the boundary-band copy,
-  ``garble`` delivers NaN instead of the authoritative values;
-* :meth:`FaultPlan.kill_fault` / :meth:`FaultPlan.stall_rank_fault` —
-  per rank at each stage of the *process* runtime
-  (:mod:`repro.distributed.worker`); a ``kill_rank`` hit makes the
-  rank process exit hard, a ``stall_rank`` hit makes it sleep long
-  enough to trip the coordinator's straggler watchdog;
-* :meth:`FaultPlan.send_fault` — per source rank at each process-
-  runtime band send; ``drop_msg`` suppresses the message (the receiver
-  times out and requests a retransmit), ``flip_bits`` flips payload
-  bits *after* the CRC is computed (the receiver detects the mismatch
-  and requests a retransmit).
+  ``garble`` delivers NaN instead of the authoritative values.
 
 Hit bookkeeping is thread-safe (tasks of one barrier group probe the
 plan concurrently) and *deterministic*: given the same plan, the same
@@ -34,17 +24,6 @@ faults fire at the same probe points in every run, which is what makes
 "recovered run is bit-identical to fault-free run" a testable
 property.  :meth:`FaultPlan.reset` re-arms the plan so one instance
 can drive both runs of such a comparison.
-
-Process faults and respawns: each rank process owns its (inherited)
-copy of the plan, so hit counters do not survive a rank being killed
-and respawned.  :meth:`FaultPlan.preburn_rank_lifecycle` restores
-determinism: a respawned rank burns one hit of its earliest armed
-``kill_rank``/``stall_rank`` fault per prior incarnation, so a
-transient kill fires exactly once across the whole elastic run instead
-of re-killing every incarnation.  :meth:`FaultPlan.random_process`
-samples chaos plans from *per-rank substreams*
-(``default_rng([seed, rank])``), so one rank's fault draw is
-independent of how many ranks exist and stable across respawns.
 """
 
 from __future__ import annotations
@@ -62,26 +41,12 @@ from repro.runtime.errors import InjectedFault
 TASK_KINDS = ("crash", "corrupt", "stall")
 #: Fault kinds understood by the distributed simulator's exchange.
 EXCHANGE_KINDS = ("drop", "garble")
-#: Fault kinds understood by the elastic process runtime
-#: (:mod:`repro.distributed.elastic`): ``kill_rank`` exits the rank
-#: process, ``stall_rank`` wedges it, ``drop_msg`` suppresses a band
-#: send, ``flip_bits`` corrupts a band payload after its CRC.
-PROCESS_KINDS = ("kill_rank", "stall_rank", "drop_msg", "flip_bits")
-#: Process kinds that end (kill) or wedge (stall) a rank's incarnation.
-LIFECYCLE_KINDS = ("kill_rank", "stall_rank")
-ALL_KINDS = TASK_KINDS + EXCHANGE_KINDS + PROCESS_KINDS
+ALL_KINDS = TASK_KINDS + EXCHANGE_KINDS
 
 _SPEC_RE = re.compile(
-    r"^(crash|corrupt|stall|drop|garble"
-    r"|kill_rank|stall_rank|drop_msg|flip_bits)"
+    r"^(crash|corrupt|stall|drop|garble)"
     r"@(\d+)(?:/(\d+))?(?:x(\d+))?$"
 )
-
-#: ``stall_rank`` sleep when the spec does not say otherwise: long
-#: enough that any sane straggler watchdog fires first (the coordinator
-#: SIGKILLs the sleeping process, so the duration is a backstop, not a
-#: wait the run actually serves).
-DEFAULT_RANK_STALL_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -145,12 +110,11 @@ class FaultPlan:
         """Build a plan from CLI-style strings.
 
         Grammar: ``kind@group[/task][xN]`` with kind one of
-        ``crash|corrupt|stall|drop|garble`` (shared-memory / simulated
-        paths) or ``kill_rank|stall_rank|drop_msg|flip_bits`` (process
-        runtime — ``group`` is the global stage counter, ``/task`` the
-        rank); ``/task`` selects a task (or source rank) index, ``xN``
-        sets ``max_hits`` (default 1).  Examples: ``crash@2``,
-        ``corrupt@0/3``, ``drop@1x999``, ``kill_rank@3/1``.
+        ``crash|corrupt|stall`` (shared-memory executors) or
+        ``drop|garble`` (distributed simulator — ``group`` is the
+        global stage counter); ``/task`` selects a task (or source
+        rank) index, ``xN`` sets ``max_hits`` (default 1).  Examples:
+        ``crash@2``, ``corrupt@0/3``, ``drop@1x999``.
         """
         out = []
         for s in specs:
@@ -166,8 +130,6 @@ class FaultPlan:
                 group=int(group),
                 task=None if task is None else int(task),
                 max_hits=1 if hits is None else int(hits),
-                stall_s=(DEFAULT_RANK_STALL_S if kind == "stall_rank"
-                         else 0.05),
             ))
         return cls(out)
 
@@ -196,39 +158,6 @@ class FaultPlan:
                 task = int(rng.integers(0, max_task + 1))
                 faults.append(FaultSpec(kind=kind, group=g, task=task,
                                         stall_s=stall_s))
-        return cls(faults)
-
-    @classmethod
-    def random_process(
-        cls,
-        num_stages: int,
-        ranks: int,
-        rate: float = 0.1,
-        seed: int = 0,
-        kinds: Sequence[str] = PROCESS_KINDS,
-        stall_s: float = DEFAULT_RANK_STALL_S,
-    ) -> "FaultPlan":
-        """Sample a chaos plan for the elastic process runtime.
-
-        Each rank draws its faults from its own substream
-        (``default_rng([seed, rank])``), so rank ``r``'s faults are
-        identical whether the run has 2 ranks or 200, and identical in
-        every incarnation of a respawned rank — the property that makes
-        recovery deterministic across respawns.
-        """
-        bad = [k for k in kinds if k not in PROCESS_KINDS]
-        if bad:
-            raise ValueError(
-                f"random_process kinds must be in {PROCESS_KINDS}, got {bad}"
-            )
-        faults = []
-        for r in range(ranks):
-            rng = np.random.default_rng([seed, r])
-            for g in range(num_stages):
-                if rng.random() < rate:
-                    kind = str(rng.choice(list(kinds)))
-                    faults.append(FaultSpec(kind=kind, group=g, task=r,
-                                            stall_s=stall_s))
         return cls(faults)
 
     # -- bookkeeping -------------------------------------------------
@@ -277,45 +206,6 @@ class FaultPlan:
 
     def exchange_fault(self, stage: int, src: int) -> Optional[FaultSpec]:
         return self._fire(("drop", "garble"), stage, src)
-
-    def kill_fault(self, stage: int, rank: int) -> Optional[FaultSpec]:
-        return self._fire(("kill_rank",), stage, rank)
-
-    def stall_rank_fault(self, stage: int, rank: int) -> Optional[FaultSpec]:
-        return self._fire(("stall_rank",), stage, rank)
-
-    def send_fault(self, stage: int, src: int) -> Optional[FaultSpec]:
-        return self._fire(("drop_msg", "flip_bits"), stage, src)
-
-    def preburn_rank_lifecycle(self, rank: int, incarnations: int) -> int:
-        """Burn hits a rank's earlier incarnations already consumed.
-
-        A respawned rank process starts with a fresh copy of the plan
-        (hit counters do not survive the old process), yet each prior
-        incarnation of this rank ended by consuming exactly one
-        ``kill_rank``/``stall_rank`` hit.  Burning ``incarnations``
-        hits — earliest armed lifecycle fault first, matching the order
-        :meth:`_fire` consumes them — realigns the fresh plan with the
-        run's history, so a transient kill does not re-kill every
-        respawn while a persistent ``xN`` kill still fires ``N`` times.
-        Returns the number of hits actually burned.
-        """
-        burned = 0
-        with self._lock:
-            remaining = incarnations
-            for i, f in enumerate(self.faults):
-                if remaining <= 0:
-                    break
-                if f.kind not in LIFECYCLE_KINDS:
-                    continue
-                if f.task is not None and f.task != rank:
-                    continue
-                take = min(remaining, f.max_hits - self._hits[i])
-                if take > 0:
-                    self._hits[i] += take
-                    remaining -= take
-                    burned += take
-        return burned
 
     def raise_if_crash(self, group: int, task: int) -> None:
         """Convenience probe: raise :class:`InjectedFault` on a hit."""

@@ -13,7 +13,7 @@ it end-to-end:
 * **deadline** — the pipeline arms a :class:`RunBudget` (one
   ``time.monotonic`` anchor per run attempt) and every executor calls
   :meth:`RunBudget.check` at its entry and at each cooperative
-  boundary (barrier group, time-tiled phase, coordinator poll), so all
+  boundary (barrier group, time-tiled phase, distributed stage), so all
   backends honour the same wall-clock budget and stop with buffers and
   checkpoint temp dirs clean;
 * **cancellation** — a shared :class:`CancelToken` trips the same
@@ -124,11 +124,9 @@ class QoSPolicy:
         allocation.
     ``fallback``
         Backend names to degrade to, in order, when the primary
-        refuses (:class:`~repro.api.backends.BackendUnsupported`),
-        dies for good (:class:`~repro.runtime.errors.RankLostError`
-        after respawn exhaustion), is refused admission, or blows its
-        deadline.  Every hop is recorded in
-        ``RunStats.degradations``.
+        refuses (:class:`~repro.api.backends.BackendUnsupported`), is
+        refused admission, or blows its deadline.  Every hop is
+        recorded in ``RunStats.degradations``.
     """
 
     deadline_s: Optional[float] = None
@@ -218,12 +216,10 @@ class RunBudget:
 
 #: extra ping-pong *pairs* each backend family keeps beyond the grid's
 #: own pair: the resilient executor checkpoints both buffers; the
-#: distributed simulator replicates the full pair per rank; the
-#: elastic runtime additionally ships an init pair to the workers.
+#: distributed simulator replicates the full pair per rank.
 _EXTRA_PAIRS = {
     "resilient": lambda config: 1,
     "distributed": lambda config: max(1, config.ranks),
-    "elastic": lambda config: 1 + max(1, config.ranks),
     # a batched run holds N member pairs plus the one stacked [N, ...]
     # pair they are copied into: 2N pairs total, of which the grid's
     # own pair is already counted

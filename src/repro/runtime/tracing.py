@@ -33,19 +33,14 @@ class RuntimeEvent:
     """One resilience-layer event (checkpoint, restore, guard, degrade…).
 
     Recorded by :func:`repro.runtime.resilience._execute_resilient`,
-    the distributed simulator and the elastic process coordinator
-    (:mod:`repro.distributed.elastic`) so traces expose where
-    fault-tolerance overhead sits, next to the per-task compute
-    timings.  The elastic coordinator adds: ``heartbeat`` (per-rank
-    beacon summary), ``retry`` (worker-reported retransmits),
-    ``respawn``, ``commit``, ``failure`` (a worker gave up on an
-    exchange), ``watchdog`` (liveness verdicts) — and reuses
-    ``restore`` for phase abort + checkpoint restore.  The QoS
-    fallback chain (:mod:`repro.api.fallback`) adds ``fallback``: one
-    event per degradation hop.
+    the distributed simulator and the sanitizer pre-flight so traces
+    expose where fault-tolerance overhead sits, next to the per-task
+    compute timings.  The QoS fallback chain
+    (:mod:`repro.api.fallback`) adds ``fallback``: one event per
+    degradation hop; a resumed service job adds ``resume``.
     """
 
-    kind: str  #: "retry" | "checkpoint" | "restore" | "degrade" | "guard" | "exchange-fault" | "sanitize" | "violation" | "heartbeat" | "respawn" | "commit" | "failure" | "watchdog" | "fallback"
+    kind: str  #: "checkpoint" | "restore" | "degrade" | "guard" | "exchange-fault" | "sanitize" | "violation" | "fallback" | "resume"
     group: int
     label: str = ""
     seconds: float = 0.0

@@ -15,6 +15,8 @@ pipeline into something a caller can *submit to and walk away from*:
 * :mod:`repro.service.isolation` — sandboxed worker-child processes
   (``isolation="process"``): crash containment, heartbeat watchdog,
   RLIMIT_AS memory ceilings, poison-job quarantine;
+* :mod:`repro.service.transport` — the CRC-sealed duplex pipe a
+  supervisor and its worker children talk over;
 * :mod:`repro.service.front` — stdlib HTTP front + client helpers
   (``repro serve`` / ``submit`` / ``status`` / ``result``).
 

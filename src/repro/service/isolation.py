@@ -7,18 +7,16 @@ job at once.  This module is the blast wall: a worker *child* process
 that runs one job at a time on the far side of an OS boundary, so the
 worst a job can do is kill its own child.
 
-The machinery is deliberately the elastic runtime's, promoted one
-layer up:
+The machinery:
 
 * the parent and child talk over one CRC-framed duplex
-  :class:`~repro.distributed.transport.Channel` (the same wire
-  discipline as rank/coordinator traffic — data-bearing messages are
-  sealed with a CRC32 at pack time and verified at receive time);
+  :class:`~repro.service.transport.Channel` (data-bearing messages
+  are sealed with a CRC32 at pack time and verified at receive time);
 * the child beacons heartbeats from a daemon thread
-  (:data:`~repro.distributed.transport.HEARTBEAT`), and the supervisor
-  applies the elastic coordinator's watchdog pattern: a child whose
-  process died *or* whose heartbeat went silent past the timeout is
-  declared crashed, retired, and respawned with a fresh incarnation;
+  (:data:`~repro.service.transport.HEARTBEAT`), and the supervisor
+  runs a watchdog: a child whose process died *or* whose heartbeat
+  went silent past the timeout is declared crashed, retired, and
+  respawned with a fresh incarnation;
 * every store mutation the job produces (checkpoint seals, the result
   commit) carries the *lease epoch* the job was assigned under, so a
   stalled old incarnation that wakes up late is fenced out by the
@@ -47,10 +45,10 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.distributed.transport import (
-    COORDINATOR,
+from repro.service.transport import (
     FAILURE,
     HEARTBEAT,
+    PARENT,
     RESULT,
     SHUTDOWN,
     Channel,
@@ -89,10 +87,7 @@ PREEMPT = "preempt"
 #: child -> parent: preempted cleanly at step ``payload``; job requeues
 PREEMPTED = "preempted"
 
-#: the supervisor's endpoint id on a worker channel
-PARENT = COORDINATOR
-
-# -- child exit codes (disjoint from distributed/worker.py's 41-44) ---
+# -- child exit codes -------------------------------------------------
 
 #: the chaos hook fired (test-only deterministic "segfault")
 EXIT_CHILD_CHAOS = 45
@@ -107,8 +102,8 @@ EXIT_CHILD_ORPHANED = 47
 #: backends whose execution mutates the caller's Grid in place, so the
 #: padded ping-pong buffer after a segment is the authoritative state
 #: a later segment (or a recovered supervisor) can resume from.  The
-#: distributed families scatter/gather rank-local slabs instead; jobs
-#: on those backends run as one segment and restart from the journal.
+#: distributed simulator scatters/gathers rank-local slabs instead; its
+#: jobs run as one segment and restart from the journal.
 CHECKPOINTABLE = frozenset(("serial", "compiled", "threaded", "resilient"))
 
 #: test hook: fork-inherited chaos verdict ("crash" | "segv" | "oom").
@@ -494,8 +489,7 @@ def worker_child_main(child_cfg: ChildConfig, conn) -> None:
       only to take effect;
     * a *heartbeat* daemon beacons ``(phase, segments, job_id)`` every
       ``heartbeat_s`` (the channel's send lock interleaves it safely
-      with result traffic — the same sharing discipline as the elastic
-      worker);
+      with result traffic);
     * the main thread runs jobs through :func:`run_job_segments`.
 
     A child that loses its pipe exits ``EXIT_CHILD_ORPHANED``: an

@@ -5,8 +5,8 @@ accepted it.  Everything the supervisor knows about a job therefore
 flows through one append-only journal before it is acted on:
 
 * **Framing** — every record is ``magic | length | crc32`` followed by
-  a JSON payload (the same seal-at-pack-time discipline as the elastic
-  transport's band messages, :mod:`repro.distributed.transport`), and
+  a JSON payload (the same seal-at-pack-time discipline as the worker
+  channel's messages, :mod:`repro.service.transport`), and
   every append is flushed and fsync'd before the store's in-memory
   state changes.  A reader can always tell a half-written tail from a
   legal record.

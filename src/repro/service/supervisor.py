@@ -51,11 +51,10 @@ waits up to a deadline for them to finish, asks the stragglers to stop
 at their next checkpoint boundary (they requeue, journaled, and the
 next start picks them up), and reports whether the shutdown was clean.
 
-Cleanup discipline: the supervisor registers an ``atexit`` hook (the
-elastic coordinator's pattern) so even an un-stopped supervisor sweeps
-its lease files, worker children and half-written temp files; a
-SIGKILL cannot run it, which is exactly what the startup recovery scan
-is for.
+Cleanup discipline: the supervisor registers an ``atexit`` hook so
+even an un-stopped supervisor sweeps its lease files, worker children
+and half-written temp files; a SIGKILL cannot run it, which is exactly
+what the startup recovery scan is for.
 """
 
 from __future__ import annotations
@@ -68,9 +67,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.distributed.transport import (
+from repro.service.transport import (
     FAILURE,
     HEARTBEAT,
+    PARENT,
     RESULT,
     SHUTDOWN,
     Channel,
@@ -92,7 +92,6 @@ from repro.service.isolation import (
     CHECKPOINTABLE,
     EXIT_CHILD_OOM,
     JOB,
-    PARENT,
     PREEMPT,
     PREEMPTED,
     ChildConfig,

@@ -25,8 +25,19 @@ class TestBackendAliases:
             assert normalize_backend(name) == name
 
     def test_case_and_whitespace(self):
-        assert normalize_backend("  Procs ") == "elastic"
+        assert normalize_backend("  Sim ") == "distributed"
         assert normalize_backend("SERIAL") == "serial"
+
+    @pytest.mark.parametrize("name", ["elastic", "procs", "processes",
+                                      "blocked", "merged",
+                                      "baseline:blocked",
+                                      "baseline:merged"])
+    def test_removed_backends_are_unknown(self, name):
+        """4.0.0 unregistered these; they fail like any unknown name."""
+        from repro.api.backends import get_backend
+
+        with pytest.raises(ValueError, match="unknown backend"):
+            get_backend(name)
 
     def test_every_alias_targets_a_registered_backend(self):
         from repro.api.backends import backend_names
@@ -47,10 +58,10 @@ class TestEngineAliases:
 
 class TestNormalized:
     def test_resolves_aliases_and_tuples(self):
-        cfg = RunConfig(backend="procs", engine="wallclock",
+        cfg = RunConfig(backend="sim", engine="wallclock",
                         shape=[40, 40], mutations=["swap-groups@1"],
                         uncut_dims=[0]).normalized()
-        assert cfg.backend == "elastic"
+        assert cfg.backend == "distributed"
         assert cfg.engine == "compiled"
         assert cfg.shape == (40, 40)
         assert cfg.mutations == ("swap-groups@1",)

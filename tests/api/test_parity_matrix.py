@@ -43,10 +43,7 @@ SUPPORTED = {
     "threaded": set(SCHEMES) - {"overlapped"},
     "resilient": set(SCHEMES) - {"overlapped"},
     "distributed": {"tess"},
-    "elastic": {"tess"},
     "baseline:pointwise": {"tess", "tess-unmerged"},
-    "baseline:blocked": {"tess", "tess-unmerged"},
-    "baseline:merged": {"tess"},
     "baseline:overlapped": {"overlapped"},
 }
 
@@ -60,15 +57,11 @@ STAGED_SUPPORTED = {
     "threaded": set(SCHEMES) - {"overlapped"},
     "resilient": set(SCHEMES) - {"overlapped"},
     "distributed": set(),
-    "elastic": set(),
     "baseline:pointwise": set(),
-    "baseline:blocked": set(),
-    "baseline:merged": set(),
     "baseline:overlapped": set(),
 }
 
 _EXTRA_MARKS = {
-    "elastic": (pytest.mark.dist,),  # spawns real rank processes
     "compiled": (pytest.mark.engine,),
     "batched": (pytest.mark.engine,),
 }
@@ -170,7 +163,7 @@ def test_refusal_is_a_value_error():
     spec = heat1d()
     with pytest.raises(ValueError):
         run(spec, RunConfig(shape=SHAPE, steps=4, scheme="naive", b=B,
-                            backend="baseline:merged"))
+                            backend="baseline:pointwise"))
 
 
 def test_periodic_only_on_pointwise():

@@ -40,7 +40,6 @@ B = 4
 STEPS = 6
 
 _EXTRA_MARKS = {
-    "elastic": (pytest.mark.dist,),  # spawns real rank processes
     "compiled": (pytest.mark.engine,),
 }
 
@@ -148,18 +147,18 @@ def test_no_policy_never_touches_qos_machinery(monkeypatch):
 # -- fallback chain --------------------------------------------------
 
 def test_fallback_recovers_from_unsupported_backend():
-    """baseline:merged refuses scheme 'naive'; the chain lands on
+    """baseline:pointwise refuses scheme 'naive'; the chain lands on
     serial and the result is bit-identical to the reference."""
     spec = heat1d()
     ref = reference_sweep(spec, Grid(spec, SHAPE, seed=0), STEPS)
     config = RunConfig(shape=SHAPE, steps=STEPS, scheme="naive", b=B,
-                       backend="baseline:merged",
+                       backend="baseline:pointwise",
                        qos=QoSPolicy(fallback=("serial",)))
     result = run(spec, config)
     assert np.array_equal(ref, result.interior)
     assert result.stats.backend == "serial"
     (hop,) = result.stats.degradations
-    assert hop["from"] == "baseline:merged"
+    assert hop["from"] == "baseline:pointwise"
     assert hop["to"] == "serial"
     assert hop["error"] == "BackendUnsupported"
     assert hop["detail"]
@@ -167,34 +166,36 @@ def test_fallback_recovers_from_unsupported_backend():
 
 def test_fallback_chain_dedupes_and_exhausts():
     spec = heat1d()
-    # merged repeated in its own chain is skipped; blocked also refuses
-    # 'naive', so the chain exhausts and re-raises the last refusal
+    # pointwise repeated in its own chain is skipped; distributed also
+    # refuses 'naive', so the chain exhausts and re-raises the last
+    # refusal
     config = RunConfig(shape=SHAPE, steps=STEPS, scheme="naive", b=B,
-                       backend="baseline:merged",
-                       qos=QoSPolicy(fallback=("baseline:merged",
-                                               "baseline:blocked")))
+                       backend="baseline:pointwise",
+                       qos=QoSPolicy(fallback=("baseline:pointwise",
+                                               "distributed")))
     with pytest.raises(BackendUnsupported) as excinfo:
         run(spec, config)
-    assert excinfo.value.backend == "baseline:blocked"
+    assert excinfo.value.backend == "distributed"
 
 
 def test_fallback_recovers_from_admission_rejection():
-    """A ceiling between the replicated elastic footprint and the lean
-    serial footprint: elastic is refused at admission (before any rank
-    process spawns), serial runs."""
+    """A ceiling between the replicated distributed footprint (one
+    buffer pair per rank on top of the grid's own) and the lean serial
+    footprint: distributed is refused at admission (before any rank
+    replica is allocated), serial runs."""
     spec = heat1d()
     lean = _config("serial")
-    fat = _config("elastic")
+    fat = _config("distributed")
     lo = estimate_peak_bytes(spec, SHAPE, lean)
     hi = estimate_peak_bytes(spec, SHAPE, fat)
     assert lo < hi
-    config = _config("elastic", qos=QoSPolicy(
+    config = _config("distributed", qos=QoSPolicy(
         max_memory_bytes=(lo + hi) // 2, fallback=("serial",)))
     ref = reference_sweep(spec, Grid(spec, SHAPE, seed=0), STEPS)
     result = run(spec, config)
     assert np.array_equal(ref, result.interior)
     (hop,) = result.stats.degradations
-    assert hop["from"] == "elastic"
+    assert hop["from"] == "distributed"
     assert hop["error"] == "AdmissionRejected"
 
 
@@ -204,7 +205,7 @@ def test_cancellation_is_never_retried():
     token = CancelToken()
     token.cancel()
     config = _config("threaded", qos=QoSPolicy(
-        cancel_token=token, fallback=("serial", "baseline:merged")))
+        cancel_token=token, fallback=("serial", "baseline:pointwise")))
     with pytest.raises(RunCancelled):
         run(heat1d(), config)
 
@@ -260,48 +261,18 @@ def test_fallback_restores_caller_grid_between_hops(monkeypatch):
     assert np.array_equal(ref, result.interior)
 
 
-@pytest.mark.dist
-@pytest.mark.faults
-def test_chaos_kill_rank_exhaustion_falls_back_to_threaded():
-    """Satellite acceptance: a kill_rank fault with a zero respawn
-    budget loses the rank for good (RankLostError); the chain re-runs
-    on 'threaded' and completes bit-identically to the naive oracle
-    with exactly one recorded hop."""
-    from repro.distributed import ElasticConfig
-    from repro.runtime.faults import FaultPlan, FaultSpec
-
-    spec = heat1d()
-    shape, steps = (400,), 16
-    ref = reference_sweep(spec, Grid(spec, shape, seed=0), steps)
-    config = RunConfig(
-        shape=shape, steps=steps, scheme="tess", b=B,
-        backend="elastic", ranks=4, threads=2,
-        fault_plan=FaultPlan([FaultSpec("kill_rank", group=3, task=1)]),
-        elastic=ElasticConfig(max_respawns=0, stall_timeout_s=0.6,
-                              heartbeat_timeout_s=1.5, deadline_s=60.0),
-        qos=QoSPolicy(fallback=("threaded",)))
-    result = run(spec, config)
-    assert np.array_equal(ref, result.interior), (
-        "fallback recovery diverged from the naive oracle")
-    assert result.stats.backend == "threaded"
-    assert len(result.stats.degradations) == 1
-    hop = result.stats.degradations[0]
-    assert (hop["from"], hop["to"], hop["error"]) == (
-        "elastic", "threaded", "RankLostError")
-
-
 def test_fallback_records_trace_events():
     from repro.runtime.tracing import ExecutionTrace
 
     spec = heat1d()
     trace = ExecutionTrace(scheme="naive")
     config = RunConfig(shape=SHAPE, steps=STEPS, scheme="naive", b=B,
-                       backend="baseline:merged", trace=trace,
+                       backend="baseline:pointwise", trace=trace,
                        qos=QoSPolicy(fallback=("serial",)))
     result = run(spec, config)
     assert result.stats.degradations
     kinds = [e.kind for e in trace.events]
     assert "fallback" in kinds
     (ev,) = [e for e in trace.events if e.kind == "fallback"]
-    assert ev.label == "baseline:merged"
+    assert ev.label == "baseline:pointwise"
     assert "serial" in ev.detail

@@ -103,7 +103,7 @@ class TestErrors:
         with pytest.raises(BackendUnsupported):
             Session(heat1d()).run(
                 RunConfig(shape=(48,), steps=4, b=4, scheme="tess",
-                          backend="baseline:blocked", engine="compiled"))
+                          backend="baseline:pointwise", engine="compiled"))
 
 
 class TestEngineResolution:

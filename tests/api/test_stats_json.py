@@ -77,8 +77,8 @@ def test_runstats_roundtrip_with_all_blocks():
                                     checkpoints_taken=3),
         cache=CacheStats(hits=5, misses=1, compile_seconds=0.02),
         plan_compiles=1, cache_hits=2,
-        degradations=[{"from": "elastic", "to": "serial",
-                       "error": "RankLostError", "detail": "x"}],
+        degradations=[{"from": "distributed", "to": "serial",
+                       "error": "AdmissionRejected", "detail": "x"}],
         verified=np.bool_(True),
     )
     clone = RunStats.from_json(json.loads(_dumps(stats.to_json())))
@@ -123,6 +123,41 @@ def test_2_0_resilience_block_still_loads():
     assert clone.resilience.guard_violations == 1
     assert not hasattr(clone.resilience, "task_retries")
     assert clone.resilience.describe()
+
+
+#: a ``distributed`` record as 3.1.0 journaled it (heat1d (64,), 8
+#: steps, b=4, 2 ranks); its comm block still carries the counters of
+#: the process runtime that 4.0.0 removed
+_RECORD_3_1 = {
+    "backend": "distributed", "scheme": "tess", "engine": "naive",
+    "shape": [64], "steps": 8,
+    "phases": {"build": 0.000258, "execute": 0.060284,
+               "verify": 0.000287},
+    "schedule": {}, "events": [],
+    "comm": {"messages": 8, "bytes_sent": 896,
+             "stage_bytes": {"0": 224, "1": 224, "2": 224, "3": 224},
+             "drops": 0, "garbles": 0, "divergence_checks": 0,
+             "phase_restarts": 0, "timeouts": 0, "retries": 0,
+             "checksum_failures": 0, "heartbeats": 0, "respawns": 0,
+             "plan_compiles": 0},
+    "resilience": None, "cache": None, "plan_compiles": 0,
+    "cache_hits": 0, "degradations": [], "verified": True, "stages": {},
+}
+
+
+def test_3_1_distributed_record_still_loads():
+    clone = RunStats.from_json(json.loads(_dumps(_RECORD_3_1)))
+    assert isinstance(clone.comm, CommStats)
+    for gone in ("timeouts", "retries", "checksum_failures",
+                 "heartbeats", "respawns", "plan_compiles"):
+        assert not hasattr(clone.comm, gone)
+    assert clone.comm.describe_resilience() and not clone.comm.had_faults
+    # what survives is what the same run tallies today
+    fresh = Session(get_stencil("heat1d")).run(RunConfig(
+        shape=(64,), steps=8, b=4, backend="distributed", ranks=2,
+        verify=True))
+    assert fresh.stats.verified
+    assert fresh.stats.comm == clone.comm
 
 
 def test_live_run_result_roundtrips(tmp_path):

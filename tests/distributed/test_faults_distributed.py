@@ -4,8 +4,7 @@ Exercises the ISSUE 1 distributed acceptance path: dropped/garbled
 ghost-band exchanges are *detected* by the neighbour-consistency
 (divergence) detector, and with ``resilient=True`` are *repaired* by
 phase checkpoint/replay to results bit-identical to a fault-free run.
-An under-sized ghost band — which silently corrupts the numerics
-without the detector — is caught instead.
+An under-sized ghost band is refused before any rank replica exists.
 """
 
 import numpy as np
@@ -16,6 +15,11 @@ from repro.distributed.exec import _execute_distributed
 from repro.runtime import FaultPlan, FaultSpec, GhostDivergenceError
 
 pytestmark = pytest.mark.faults
+
+
+def _bitwise(ref, out):
+    return (ref.dtype == out.dtype and ref.shape == out.shape
+            and ref.tobytes() == out.tobytes())
 
 
 def _setup(kernel="heat1d", shape=(400,), steps=16, b=4, ranks=4):
@@ -63,19 +67,20 @@ class TestDivergenceDetector:
                                 fault_plan=plan, check_divergence=True)
 
     def test_undersized_ghost_band_caught_not_silent(self):
-        """The ISSUE satellite: an under-sized band must be *caught*.
-
-        Without the detector the run completes with silently wrong
-        numerics; the detector validates against the lattice-required
-        band width, so the same run raises instead.
-        """
+        """An under-sized band would serve wrong values, so the run is
+        refused up front — with or without the detector — naming the
+        width the lattice requires."""
         spec, lat, grid, ref, base = _setup()
-        out, _ = _execute_distributed(spec, grid.copy(), lat, 16, 4,
-                                     ghost_override=1)
-        assert not np.allclose(ref, out, rtol=1e-11, atol=1e-12)
-        with pytest.raises(GhostDivergenceError):
-            _execute_distributed(spec, grid.copy(), lat, 16, 4,
-                                ghost_override=1, check_divergence=True)
+        for detect in (False, True):
+            with pytest.raises(ValueError, match="required width 8"):
+                _execute_distributed(spec, grid.copy(), lat, 16, 4,
+                                    ghost_override=1,
+                                    check_divergence=detect)
+        # the required width itself, and anything wider, still runs
+        for ghost in (8, 9):
+            out, _ = _execute_distributed(spec, grid.copy(), lat, 16, 4,
+                                         ghost_override=ghost)
+            assert _bitwise(ref, out)
 
     def test_integer_kernel_garble_detected(self):
         spec, lat, grid, ref, base = _setup("life", (48, 48), 8, 2, 3)
@@ -91,8 +96,8 @@ class TestPhaseRecovery:
         plan = FaultPlan([FaultSpec("drop", group=2, task=1)])
         out, stats = _execute_distributed(spec, grid.copy(), lat, 16, 4,
                                          fault_plan=plan, resilient=True)
-        assert np.array_equal(base, out)
-        assert np.allclose(ref, out, rtol=1e-11, atol=1e-12)
+        assert _bitwise(base, out)
+        assert _bitwise(ref, out)
         assert stats.drops >= 1
         assert stats.phase_restarts == 1
 

