@@ -24,6 +24,11 @@ Modes:
   Quick rows are (by construction) a subset of the full rows, so a
   quick run can be regression-checked against the committed baseline.
 
+Both sets carry ``session-repeat-heat2d``, the request perfbench's
+``session-repeat`` workload repeats (heat2d 128², 16 steps, b=4,
+merged tess at the default widths), so the warm-path kernels have a
+guarded row of their own.
+
 ``--check BASELINE.json`` compares the *speedup* of every row whose
 key also appears in the baseline and exits 1 if any regressed by more
 than ``--tolerance`` (default 20%).  Speedup is a same-machine ratio,
@@ -69,6 +74,8 @@ SCHEMA = "bench-engine/1"
 WORKLOADS = [
     ("fig8-heat1d-quick", "heat1d", (4000,), 16, 4, False, 1, True),
     ("fig10-heat2d-quick", "heat2d", (96, 96), 8, 4, False, 1, True),
+    # perfbench's session-repeat request: merged tess, default widths
+    ("session-repeat-heat2d", "heat2d", (128, 128), 16, 4, True, 1, True),
     ("fig8-heat1d", "heat1d", (40000,), 64, 8, False, 1, False),
     ("fig10-heat2d", "heat2d", (384, 384), 24, 4, False, 1, False),
     ("fig10-heat2d-merged", "heat2d", (384, 384), 24, 4, True, 1, False),

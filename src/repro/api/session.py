@@ -54,7 +54,7 @@ from repro.api.backends import (
 from repro.api.builder import BuiltSchedule, ScheduleBuilder
 from repro.api.config import RunConfig
 from repro.api.stats import RunResult, RunStats, cache_delta
-from repro.engine.cache import CacheStats
+from repro.engine.cache import CacheStats, schedule_params
 from repro.runtime.schedule import schedule_stats
 from repro.stencils.grid import Grid
 from repro.stencils.spec import StencilSpec
@@ -90,15 +90,20 @@ class Session:
         """Stage 1: RunConfig -> RegionSchedule (+ lattice)."""
         return self.builder.build(self.spec, config.normalized(), shape)
 
-    def lower(self, schedule, params: Tuple = (), *,
+    def lower(self, schedule, params: Optional[Tuple] = None, *,
               batch_threshold: int = 4096, fuse: bool = True,
               batched: bool = False):
         """Stage 2: RegionSchedule -> CompiledPlan, via the plan cache.
 
+        ``params`` is the schedule's construction identity
+        (``BuiltSchedule.params``); without it the plan is keyed by the
+        schedule's content (:func:`~repro.engine.cache.schedule_params`).
         ``batched=True`` marks the lookup as serving a many-instances
         run (same plan, same key — only the cache's ``batched_hits``
         amortisation counter moves).
         """
+        if params is None:
+            params = schedule_params(schedule)
         return self.cache.get(self.spec, schedule, params=params,
                               batch_threshold=batch_threshold, fuse=fuse,
                               batched=batched)
@@ -177,7 +182,9 @@ class Session:
         """Run prebuilt artifacts through a backend.
 
         When ``schedule`` is given, its scheme/shape/steps override the
-        configuration's so the stats always describe what actually ran.
+        configuration's so the stats always describe what actually ran,
+        and its plan is keyed by ``params`` (the build's
+        ``BuiltSchedule.params``) or, without them, by its content.
         """
         config = (config or RunConfig()).with_overrides(overrides)
         return self._pipeline(config.normalized(), grid=grid,
@@ -223,6 +230,9 @@ class Session:
         if shape is None:
             shape = grid.shape if grid is not None else self.default_shape()
             config = replace(config, shape=tuple(shape))
+        for member in (grid, *(batch_grids or ())):
+            if member is not None:
+                _check_grid(spec, tuple(shape), member)
 
         # admit + arm the QoS budget ------------------------------------
         budget = None
@@ -289,6 +299,26 @@ class Session:
             phases["sanitize"] = time.perf_counter() - t0
             sanitizer_report.raise_if_violations()
 
+        # lower ---------------------------------------------------------
+        if engine == "compiled" and plan is None:
+            if by_config:
+                # describe the entry so the next run with this config
+                # finds the whole build through lookup()
+                sched_stats = schedule_stats(schedule)
+            t0 = time.perf_counter()
+            before = self.cache.stats.as_dict()
+            # a schedule built here carries its params; a caller's
+            # schedule is keyed by its content, never by the config
+            plan = self.cache.get(
+                spec, schedule,
+                params if params is not None else schedule_params(schedule),
+                batched=backend.name == "batched",
+                lattice=lattice, schedule_stats=sched_stats)
+            delta = cache_delta(before, self.cache.stats.as_dict())
+            phases["lower"] = time.perf_counter() - t0
+
+        # grids are allocated only once everything that can refuse the
+        # run (admission, sanitizer, lowering) has passed
         if grid is None:
             grid = Grid(spec, tuple(shape), init="random", seed=config.seed)
         if (backend.name == "batched" and batch_grids is None
@@ -300,22 +330,6 @@ class Session:
                      seed=config.seed + i)
                 for i in range(1, config.batch)
             ]
-
-        # lower ---------------------------------------------------------
-        if engine == "compiled" and plan is None:
-            if by_config:
-                # describe the entry so the next run with this config
-                # finds the whole build through lookup()
-                sched_stats = schedule_stats(schedule)
-            t0 = time.perf_counter()
-            before = self.cache.stats.as_dict()
-            plan = self.cache.get(
-                spec, schedule,
-                params if params is not None else config.tile_params(),
-                batched=backend.name == "batched",
-                lattice=lattice, schedule_stats=sched_stats)
-            delta = cache_delta(before, self.cache.stats.as_dict())
-            phases["lower"] = time.perf_counter() - t0
 
         # execute -------------------------------------------------------
         snapshot = grid.copy() if config.verify else None
@@ -419,6 +433,18 @@ class Session:
             stats.plan_compiles = int(delta.misses)
             stats.cache_hits = int(delta.hits)
         return stats
+
+
+def _check_grid(spec: StencilSpec, shape: Tuple[int, ...], grid) -> None:
+    """Refuse a caller's grid whose buffers are not ``spec``'s padded
+    layout for ``shape``: a foreign halo or dtype would run silently
+    wrong on some backends and fail half-way on others."""
+    want = spec.padded_shape(shape)
+    for buf in grid.buffers:
+        if buf.shape != want or buf.dtype != spec.dtype:
+            raise ValueError(
+                f"grid buffers are {buf.dtype} {buf.shape}; the session's "
+                f"spec needs {spec.dtype} {want} for interior {shape}")
 
 
 def run(spec: StencilSpec, config: Optional[RunConfig] = None,

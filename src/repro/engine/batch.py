@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.kernels import thread_arena
-from repro.engine.plan import CompiledPlan
+from repro.engine.plan import CompiledPlan, check_layout
 from repro.stencils.grid import Grid
 from repro.stencils.operators import (
     GameOfLifeOperator,
@@ -144,9 +144,8 @@ def _execute_plan_batched(plan: CompiledPlan, bgrid: BatchGrid,
             f"batch shape {bgrid.shape} != plan shape {plan.shape}"
         )
     bufs = bgrid.buffers
-    if not all(b.flags.c_contiguous for b in bufs):
-        raise ValueError("batched plans require C-contiguous buffers")
     n = bgrid.n
+    check_layout(plan, bufs, (n,))
     flats = (bufs[0].reshape(n, -1), bufs[1].reshape(n, -1))
     spec = plan.spec
     arena = thread_arena()

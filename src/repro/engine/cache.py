@@ -24,7 +24,8 @@ Two tiers:
   entries are keyed by a SHA-256 of the in-memory key and start with
   the :data:`PLAN_FORMAT` tag, read before the plan is unpickled: a
   record of another format is a plain miss that the recompile
-  overwrites, an unreadable one is quarantined.
+  overwrites; an unreadable one, or one whose batch indices fail
+  :func:`~repro.engine.plan.check_bounds`, is quarantined.
 
 A module-level default cache (:func:`default_cache`,
 :func:`get_plan`) serves the executors and the CLI.
@@ -40,7 +41,7 @@ from dataclasses import dataclass, replace
 from threading import Lock
 from typing import Any, Dict, Optional, Tuple
 
-from repro.engine.plan import CompiledPlan, compile_plan
+from repro.engine.plan import CompiledPlan, check_bounds, compile_plan
 from repro.runtime.schedule import RegionSchedule
 from repro.stencils.operators import LinearStencilOperator
 from repro.stencils.spec import StencilSpec
@@ -55,6 +56,7 @@ __all__ = [
     "get_plan",
     "make_key",
     "plan_key",
+    "schedule_params",
     "spec_signature",
 ]
 
@@ -91,6 +93,23 @@ def spec_signature(spec: StencilSpec) -> Tuple:
     if isinstance(op, LinearStencilOperator):
         parts = parts + (op.coeffs,)
     return parts
+
+
+def schedule_params(schedule: RegionSchedule) -> Tuple[str]:
+    """Plan-cache ``params`` of a schedule known only by its content.
+
+    A SHA-256 of the schedule's table columns and flags: a schedule the
+    caller built (or mutated) carries no construction parameters, and
+    keying it by a configuration's would let it share an entry with
+    that configuration's own build.
+    """
+    table = schedule.table()
+    h = hashlib.sha256(repr((schedule.redundant,
+                             schedule.private_tasks)).encode())
+    for col in (table.task, table.t, table.lo, table.hi, table.group):
+        h.update(repr(col.shape).encode())
+        h.update(col.tobytes())
+    return (f"sha256:{h.hexdigest()}",)
 
 
 def plan_key(
@@ -145,8 +164,9 @@ class CacheStats:
     batched_hits: int = 0
     disk_hits: int = 0
     disk_stores: int = 0
-    #: disk entries whose pickle failed to load (corrupted/truncated);
-    #: each is quarantined to ``<path>.corrupt`` and treated as a miss
+    #: disk entries whose pickle failed to load (corrupted/truncated)
+    #: or whose plan failed the bounds proof; each is quarantined to
+    #: ``<path>.corrupt`` and treated as a miss
     disk_corrupt: int = 0
     compile_seconds: float = 0.0
 
@@ -226,20 +246,24 @@ class PlanCache:
                     # plain miss; the recompile overwrites it
                     return None
                 stored_key, plan = pickle.load(fh)
+            if stored_key != key or not isinstance(plan, CompiledPlan):
+                # a healthy pickle of the wrong thing (hash collision,
+                # foreign file): a plain miss, not corruption
+                return None
+            # unpickling bypassed compile_plan's bounds proof, and the
+            # kernels' clip-mode gathers would not notice rotted indices
+            check_bounds(plan)
         except Exception:
-            # corrupted/truncated pickle (a crashed writer, disk rot):
-            # quarantine the file so it is never re-read — leaving it in
-            # place would pay the failed unpickle on every future miss —
-            # and fall through to a recompile
+            # corrupted/truncated pickle (a crashed writer, disk rot),
+            # or a plan that fails the proof: quarantine the file so it
+            # is never re-read — leaving it in place would pay the
+            # failed load on every future miss — and fall through to a
+            # recompile
             self.stats.disk_corrupt += 1
             try:
                 os.replace(path, f"{path}.corrupt")
             except OSError:
                 pass
-            return None
-        if stored_key != key or not isinstance(plan, CompiledPlan):
-            # a healthy pickle of the wrong thing (hash collision,
-            # foreign file): a plain miss, not corruption
             return None
         return plan
 

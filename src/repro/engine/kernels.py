@@ -30,6 +30,17 @@ engine uses:
   unit instead of one per tap.  ``base`` is clamped at 0 because a
   linear operator may be one-sided (every offset positive).
 
+**Bounds are proven once, not per call.**  Every gather is the bound
+``ndarray.take(ish, out=..., mode="clip")``.  The default
+``mode="raise"`` fills a temporary and copies it into ``out`` on every
+call, so that ``out`` stays untouched if an index fails.
+:func:`repro.engine.plan.check_bounds` instead proves every batch
+index in bounds once per plan, and the engine entry points refuse
+buffers of another layout, so ``clip`` never clamps.  The
+many-instance kernels gather from the whole C-contiguous ``[N, P]``
+buffer at ``idx + shift``: ``take`` would copy a column-sliced view in
+full first.
+
 Scratch buffers live in a :class:`ScratchArena`: one geometric-growth
 1D array per (name, dtype), reshaped into views on demand — zero
 steady-state allocation.  Arenas are per-thread (:func:`thread_arena`)
@@ -52,6 +63,7 @@ __all__ = [
     "life_slices",
     "life_batch",
     "life_batch_many",
+    "take_many",
     "widen",
 ]
 
@@ -119,11 +131,24 @@ def linear_slices(src, dst, out_sl, in_sls, coeffs, arena) -> None:
 
 def widen(idx, base, arena, name: str = "bidx") -> np.ndarray:
     """``idx + base`` as ``np.intp`` in arena buffer ``name``: a batch
-    unit's one index pass (``dtype`` explicit, so NumPy 1.x and 2.x
-    widen alike)."""
+    unit's one index pass.  A copy then an in-place add: ``np.add(idx,
+    base, out=, dtype=np.intp)`` allocates a ufunc cast buffer per
+    call."""
     ish = arena.get(name, idx.shape[0], np.intp)
-    np.add(idx, base, out=ish, dtype=np.intp)
+    np.copyto(ish, idx)
+    if base:
+        np.add(ish, base, out=ish)
     return ish
+
+
+def take_many(flat, ish, shift, out, arena) -> None:
+    """``out[:] = flat[:, ish + shift]`` over a C-contiguous ``[N, P]``
+    ``flat``: shifting the indices, not the view, keeps the source
+    contiguous so ``take`` gathers in place."""
+    if shift:
+        tap = arena.get("btap", ish.shape[0], np.intp)
+        ish = np.add(ish, shift, out=tap)
+    flat.take(ish, axis=1, out=out, mode="clip")
 
 
 def linear_batch(flat_src, flat_dst, idx, base, off_flats, coeffs,
@@ -139,16 +164,16 @@ def linear_batch(flat_src, flat_dst, idx, base, off_flats, coeffs,
     ish = widen(idx, base, arena)
     acc = arena.get("bacc", n, flat_src.dtype)
     g = arena.get("bg", n, flat_src.dtype)
-    np.take(flat_src[off_flats[0] - base:], ish, out=acc)
+    flat_src[off_flats[0] - base:].take(ish, out=acc, mode="clip")
     np.multiply(acc, coeffs[0], out=acc)
     for off, c in zip(off_flats[1:], coeffs[1:]):
-        np.take(flat_src[off - base:], ish, out=g)
+        flat_src[off - base:].take(ish, out=g, mode="clip")
         np.multiply(g, c, out=g)
         np.add(acc, g, out=acc)
     flat_dst[-base:][ish] = acc
 
 
-def linear_batch_many(flat_src, flat_dst, idx, base, off_flats, coeffs,
+def linear_batch_many(flat_src, flat_dst, idx, off_flats, coeffs,
                       arena) -> None:
     """:func:`linear_batch` across a leading instance axis.
 
@@ -160,16 +185,16 @@ def linear_batch_many(flat_src, flat_dst, idx, base, off_flats, coeffs,
     """
     n = flat_src.shape[0]
     m = idx.shape[0]
-    ish = widen(idx, base, arena)
+    ish = widen(idx, 0, arena)
     acc = arena.get("bacc", n * m, flat_src.dtype).reshape(n, m)
     g = arena.get("bg", n * m, flat_src.dtype).reshape(n, m)
-    np.take(flat_src[:, off_flats[0] - base:], ish, axis=1, out=acc)
+    take_many(flat_src, ish, off_flats[0], acc, arena)
     np.multiply(acc, coeffs[0], out=acc)
     for off, c in zip(off_flats[1:], coeffs[1:]):
-        np.take(flat_src[:, off - base:], ish, axis=1, out=g)
+        take_many(flat_src, ish, off, g, arena)
         np.multiply(g, c, out=g)
         np.add(acc, g, out=acc)
-    flat_dst[:, -base:][:, ish] = acc
+    flat_dst[:, ish] = acc
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +232,12 @@ def life_batch(flat_src, flat_dst, idx, base, off_flats, centre_off,
     ish = widen(idx, base, arena)
     n = arena.get("nbuf", m, np.uint8)
     g = arena.get("gbuf", m, np.uint8)
-    np.take(flat_src[off_flats[0] - base:], ish, out=n)
+    flat_src[off_flats[0] - base:].take(ish, out=n, mode="clip")
     for off in off_flats[1:]:
-        np.take(flat_src[off - base:], ish, out=g)
+        flat_src[off - base:].take(ish, out=g, mode="clip")
         np.add(n, g, out=n)
     centre = arena.get("cbuf", m, np.uint8)
-    np.take(flat_src[centre_off - base:], ish, out=centre)
+    flat_src[centre_off - base:].take(ish, out=centre, mode="clip")
     born = arena.get("b1", m, np.bool_)
     two = arena.get("b2", m, np.bool_)
     alive = arena.get("b3", m, np.bool_)
@@ -226,22 +251,22 @@ def life_batch(flat_src, flat_dst, idx, base, off_flats, centre_off,
     flat_dst[-base:][ish] = out
 
 
-def life_batch_many(flat_src, flat_dst, idx, base, off_flats, centre_off,
+def life_batch_many(flat_src, flat_dst, idx, off_flats, centre_off,
                     arena) -> None:
     """:func:`life_batch` across a leading instance axis (exact
     integer/boolean work, so the widened buffers cannot change results).
     """
     nn = flat_src.shape[0]
     m = idx.shape[0]
-    ish = widen(idx, base, arena)
+    ish = widen(idx, 0, arena)
     n = arena.get("nbuf", nn * m, np.uint8).reshape(nn, m)
     g = arena.get("gbuf", nn * m, np.uint8).reshape(nn, m)
-    np.take(flat_src[:, off_flats[0] - base:], ish, axis=1, out=n)
+    take_many(flat_src, ish, off_flats[0], n, arena)
     for off in off_flats[1:]:
-        np.take(flat_src[:, off - base:], ish, axis=1, out=g)
+        take_many(flat_src, ish, off, g, arena)
         np.add(n, g, out=n)
     centre = arena.get("cbuf", nn * m, np.uint8).reshape(nn, m)
-    np.take(flat_src[:, centre_off - base:], ish, axis=1, out=centre)
+    take_many(flat_src, ish, centre_off, centre, arena)
     born = arena.get("b1", nn * m, np.bool_).reshape(nn, m)
     two = arena.get("b2", nn * m, np.bool_).reshape(nn, m)
     alive = arena.get("b3", nn * m, np.bool_).reshape(nn, m)
@@ -252,4 +277,4 @@ def life_batch_many(flat_src, flat_dst, idx, base, off_flats, centre_off,
     np.logical_or(born, two, out=born)
     out = arena.get("obuf", nn * m, np.uint8).reshape(nn, m)
     np.copyto(out, born, casting="unsafe")
-    flat_dst[:, -base:][:, ish] = out
+    flat_dst[:, ish] = out

@@ -19,6 +19,11 @@ A :class:`CompiledPlan` hoists all of that to compile time:
   updates over flat index arrays (one ufunc dispatch sequence for
   hundreds of actions), stored at 32 bits where the buffer allows and
   widened once per unit (see :mod:`repro.engine.kernels`);
+* **a bounds proof** — :func:`check_bounds` shows, once per plan, that
+  every batch unit's gathers and scatters stay inside the padded
+  buffer, so the kernels gather without NumPy's per-call protection
+  (``mode="clip"``, which then never clamps); :func:`check_layout`
+  makes each run present exactly that buffer;
 * **allocation-free kernels** — the per-unit update runs through
   :mod:`repro.engine.kernels` into reusable per-thread scratch.
 
@@ -67,6 +72,7 @@ from repro.engine.kernels import (
     linear_batch,
     linear_batch_many,
     linear_slices,
+    take_many,
     thread_arena,
     widen,
 )
@@ -88,7 +94,8 @@ from repro.stencils.spec import (
 )
 from repro.stencils.staged import stage_scratch, stage_timings
 
-__all__ = ["CompiledPlan", "PlanStats", "compile_plan"]
+__all__ = ["CompiledPlan", "PlanStats", "check_bounds", "check_layout",
+           "compile_plan"]
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +230,17 @@ class _LinearBatch:
     def writes(self):
         return _rect_writes(self.t, self.lo, self.hi)
 
+    def accesses(self):
+        # reads at every tap offset, the write at offset 0
+        return [(self.idx, self.base, (0,) + self.off_flats)]
+
     def run(self, bufs, flats, spec, arena):
         linear_batch(flats[self.sp], flats[self.dp], self.idx, self.base,
                      self.off_flats, self.coeffs, arena)
 
     def run_batched(self, bufs, flats, spec, arena):
         linear_batch_many(flats[self.sp], flats[self.dp], self.idx,
-                          self.base, self.off_flats, self.coeffs, arena)
+                          self.off_flats, self.coeffs, arena)
 
 
 class _LifeBatch:
@@ -250,13 +261,17 @@ class _LifeBatch:
     def writes(self):
         return _rect_writes(self.t, self.lo, self.hi)
 
+    def accesses(self):
+        return [(self.idx, self.base,
+                 (0, self.centre_off) + self.off_flats)]
+
     def run(self, bufs, flats, spec, arena):
         life_batch(flats[self.sp], flats[self.dp], self.idx, self.base,
                    self.off_flats, self.centre_off, arena)
 
     def run_batched(self, bufs, flats, spec, arena):
         life_batch_many(flats[self.sp], flats[self.dp], self.idx,
-                        self.base, self.off_flats, self.centre_off, arena)
+                        self.off_flats, self.centre_off, arena)
 
 
 class _StagedSliceOp:
@@ -344,6 +359,17 @@ class _StagedBatch:
     def writes(self):
         return _rect_writes(self.t, self.lo, self.hi)
 
+    def accesses(self):
+        # every stage reads at its shifts and writes at ``wshift``; the
+        # copy reads the scratch and writes the destination at each
+        # field's offset
+        out = [(pos, base, tuple(shift for _, shift in shifts) + (wshift,))
+               for (_, pos, wshift, shifts), base in zip(self.stage_ops,
+                                                         self.bases)]
+        out.append((self.idx, 0, tuple(f * self.field_size
+                                       for f in range(self.num_fields))))
+        return out
+
     def run(self, bufs, flats, spec, arena):
         scr_flat = stage_scratch(self.pad_shape, spec.dtype).reshape(-1)
         src_flat = flats[self.sp]
@@ -356,8 +382,8 @@ class _StagedBatch:
             gathered = []
             for i, (new, shift) in enumerate(shifts):
                 g = arena.get(f"sg{i}", pos.size, spec.dtype)
-                np.take((scr_flat if new else src_flat)[shift - base:], ish,
-                        out=g)
+                (scr_flat if new else src_flat)[shift - base:].take(
+                    ish, out=g, mode="clip")
                 gathered.append(g)
             out = arena.get("sg_out", pos.size, spec.dtype)
             stage.apply_stage(out, gathered, arena)
@@ -368,7 +394,7 @@ class _StagedBatch:
         g = arena.get("sg_copy", self.idx.size, spec.dtype)
         for f in range(self.num_fields):
             off = f * self.field_size
-            np.take(scr_flat[off:], ish, out=g)
+            scr_flat[off:].take(ish, out=g, mode="clip")
             dst_flat[off:][ish] = g
 
     def run_batched(self, bufs, flats, spec, arena):
@@ -377,27 +403,28 @@ class _StagedBatch:
         src2 = flats[self.sp]
         dst2 = flats[self.dp]
         timed = stage_timings.armed
-        for (stage, pos, wshift, shifts), base in zip(self.stage_ops,
-                                                      self.bases):
+        for stage, pos, wshift, shifts in self.stage_ops:
             t0 = time.perf_counter() if timed else 0.0
-            ish = widen(pos, base, arena, "sg_idx")
+            ish = widen(pos, 0, arena, "sg_idx")
             gathered = []
             for i, (new, shift) in enumerate(shifts):
                 g = arena.get(f"sgm{i}", n * pos.size,
                               spec.dtype).reshape(n, pos.size)
-                np.take((scr2 if new else src2)[:, shift - base:], ish,
-                        axis=1, out=g)
+                take_many(scr2 if new else src2, ish, shift, g, arena)
                 gathered.append(g)
             out = arena.get("sgm_out", n * pos.size,
                             spec.dtype).reshape(n, pos.size)
             stage.apply_stage(out, gathered, arena)
-            scr2[:, wshift - base:][:, ish] = out
+            scr2[:, wshift:][:, ish] = out
             if timed:
                 stage_timings.record(stage.name, time.perf_counter() - t0)
         ish = widen(self.idx, 0, arena, "sg_idx")
+        g = arena.get("sgm_copy", n * self.idx.size,
+                      spec.dtype).reshape(n, self.idx.size)
         for f in range(self.num_fields):
             off = f * self.field_size
-            dst2[:, off:][:, ish] = scr2[:, off:][:, ish]
+            take_many(scr2, ish, off, g, arena)
+            dst2[:, off:][:, ish] = g
 
 
 class _PrivateTask:
@@ -758,12 +785,72 @@ def compile_plan(
         group_ids, streams, stats = _compile_table(
             ctx, schedule.table(), schedule.redundant, batch_threshold, fuse)
     stats.stream_units = sum(len(s) for s in streams)
-    stats.compile_seconds = time.perf_counter() - t0
-    return CompiledPlan(
+    plan = CompiledPlan(
         scheme=schedule.scheme, shape=schedule.shape, steps=schedule.steps,
         spec=spec, group_ids=group_ids, streams=streams,
         private=schedule.private_tasks, stats=stats, schedule=schedule,
     )
+    check_bounds(plan)
+    stats.compile_seconds = time.perf_counter() - t0
+    return plan
+
+
+_BATCH_UNITS = (_LinearBatch, _LifeBatch, _StagedBatch)
+
+
+def check_bounds(plan: CompiledPlan) -> None:
+    """Prove that every batch unit gathers and scatters inside the
+    padded buffer, else raise ``ValueError`` naming the unit's group
+    and step.
+
+    A batch unit widens an index array once (``ish = idx + base``) and
+    reaches flat position ``idx + s`` through a view that starts at
+    ``s - base``, for every shift ``s`` it reads or writes at
+    (:meth:`accesses`).  From the array's min and max, each unit must
+    satisfy ``base <= min(0, *shifts)`` (every view starts inside the
+    buffer, and ``idx`` itself is a valid scatter index),
+    ``min(idx) + base >= 0`` and ``max(idx) + max(shifts) < extent``.
+    Under that proof the kernels' ``take(..., mode="clip")`` never
+    clamps.  O(indices), run by :func:`compile_plan` and by the plan
+    cache for every plan it loads from disk.
+    """
+    extent = int(np.prod(plan.spec.padded_shape(plan.shape),
+                         dtype=np.int64))
+    for gid, stream in zip(plan.group_ids, plan.streams):
+        for unit in stream:
+            if not isinstance(unit, _BATCH_UNITS):
+                continue
+            for idx, base, shifts in unit.accesses():
+                where = f"batch unit of group {gid}, step {unit.t}"
+                if idx.ndim != 1 or idx.dtype.kind not in "iu":
+                    raise ValueError(
+                        f"{where}: indices are not a 1-D integer array "
+                        f"({idx.ndim}-D {idx.dtype})")
+                if not idx.size:
+                    continue
+                lo, hi = int(idx.min()), int(idx.max())
+                if (base > min(0, *shifts) or lo + base < 0
+                        or hi + max(shifts) >= extent):
+                    raise ValueError(
+                        f"{where} reaches flat indices "
+                        f"[{lo + min(shifts)}, {hi + max(shifts)}] with "
+                        f"widening base {base}, outside the padded buffer "
+                        f"[0, {extent})")
+
+
+def check_layout(plan: CompiledPlan, bufs, lead: Tuple[int, ...] = ()) -> None:
+    """Refuse buffers that are not the C-contiguous padded shape and
+    dtype :func:`check_bounds` proved the plan against (``lead``: the
+    stacked instance axis of a batched run)."""
+    spec = plan.spec
+    want = lead + spec.padded_shape(plan.shape)
+    for buf in bufs:
+        if buf.shape != want or buf.dtype != spec.dtype:
+            raise ValueError(
+                f"plan needs {spec.dtype} buffers of shape {want}, got "
+                f"{buf.dtype} {buf.shape}")
+        if not buf.flags.c_contiguous:
+            raise ValueError("compiled plans require C-contiguous buffers")
 
 
 def _compile_private(ctx: _CompileCtx, schedule: RegionSchedule):
@@ -945,8 +1032,7 @@ def _execute_plan(plan: CompiledPlan, grid: Grid,
             f"grid shape {grid.shape} != plan shape {plan.shape}"
         )
     bufs = grid.buffers
-    if not all(b.flags.c_contiguous for b in bufs):
-        raise ValueError("compiled plans require C-contiguous grid buffers")
+    check_layout(plan, bufs)
     flats = (bufs[0].reshape(-1), bufs[1].reshape(-1))
     spec = plan.spec
     arena = thread_arena()

@@ -41,7 +41,7 @@ import queue as _queue
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -477,7 +477,8 @@ def restore_rlimit(token) -> None:
 
 # -- the worker child -------------------------------------------------
 
-def worker_child_main(child_cfg: ChildConfig, conn) -> None:
+def worker_child_main(child_cfg: ChildConfig, conn,
+                      inherited: Sequence[Any] = ()) -> None:
     """Main loop of one sandboxed worker child.
 
     Three threads, one pipe:
@@ -495,7 +496,12 @@ def worker_child_main(child_cfg: ChildConfig, conn) -> None:
     A child that loses its pipe exits ``EXIT_CHILD_ORPHANED``: an
     orphan must never keep computing against a store it cannot report
     to (its lease epoch is fenced anyway — this just saves the CPU).
+    ``inherited`` are the supervisor's pipe ends the fork copied into
+    this process; they are closed first, since while any of them is
+    open here the pipe never reports EOF.
     """
+    for end in inherited:
+        end.close()
     # the parent may have custom SIGTERM/SIGINT handlers (the serve
     # loop's drain trigger) which a fork-spawned child inherits; reset
     # them or Process.terminate() would flip the parent's stop event
@@ -570,7 +576,10 @@ def worker_child_main(child_cfg: ChildConfig, conn) -> None:
     sessions: Dict[str, Any] = {}
     while True:
         msg = inbox.get()
-        if msg is None or msg.kind == SHUTDOWN:
+        if msg is None:
+            # the pipe closed without a SHUTDOWN: the supervisor is gone
+            os._exit(EXIT_CHILD_ORPHANED)
+        if msg.kind == SHUTDOWN:
             break
         if msg.kind != JOB:
             continue

@@ -887,19 +887,25 @@ class Supervisor:
             ctx = mp.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             ctx = mp.get_context()
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
         child_cfg = ChildConfig(
             worker=wid, heartbeat_s=self.config.worker_heartbeat_s,
             incarnation=incarnation)
-        proc = ctx.Process(target=worker_child_main,
-                           args=(child_cfg, child_conn),
-                           name=f"repro-svc-child-{wid}", daemon=True)
-        proc.start()
-        child_conn.close()
-        child = _Child(proc=proc, chan=Channel(parent_conn),
-                       incarnation=incarnation,
-                       last_beat=time.monotonic())
+        # pipe, fork and registration under one lock: the forked child
+        # inherits every parent end open at that moment (its own and
+        # its siblings') and must close each of them, or it never sees
+        # EOF once the supervisor dies
         with self._children_lock:
+            parent_conn, child_conn = ctx.Pipe(duplex=True)
+            inherited = [parent_conn] + [
+                c.chan.conn for c in self._children.values()]
+            proc = ctx.Process(target=worker_child_main,
+                               args=(child_cfg, child_conn, inherited),
+                               name=f"repro-svc-child-{wid}", daemon=True)
+            proc.start()
+            child_conn.close()
+            child = _Child(proc=proc, chan=Channel(parent_conn),
+                           incarnation=incarnation,
+                           last_beat=time.monotonic())
             self._children[wid] = child
             self._incarnations[wid] = incarnation
         self._set_info(wid, incarnation=incarnation, alive=True)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import get_stencil
 from repro.api import RunConfig, Session, execute, run
 from repro.api.backends import BackendUnsupported, get_backend
+from repro.engine.cache import PlanCache
+from repro.runtime.mutations import drop_action
 from repro.stencils import Grid, heat1d, heat2d, reference_sweep
 
 pytestmark = pytest.mark.api
@@ -104,6 +107,103 @@ class TestErrors:
             Session(heat1d()).run(
                 RunConfig(shape=(48,), steps=4, b=4, scheme="tess",
                           backend="baseline:pointwise", engine="compiled"))
+
+
+class TestForeignGrid:
+    """A caller's grid laid out for another spec (same interior, other
+    halo) is refused before any buffer is touched, on every backend:
+    a heat1d plan on a 1d5p grid used to run silently wrong, a 1d5p
+    plan on a heat1d grid to fail half-way through the run."""
+
+    PAIRS = [("heat1d", "1d5p"), ("1d5p", "heat1d")]
+
+    @staticmethod
+    def _grids(kernel, n=1):
+        spec = get_stencil(kernel)
+        return [Grid(spec, (64,), init="random", seed=i) for i in range(n)]
+
+    @staticmethod
+    def _snapshot(grids):
+        return [buf.tobytes() for g in grids for buf in g.buffers]
+
+    @pytest.mark.parametrize("backend", ["compiled", "serial", "batched"])
+    @pytest.mark.parametrize("session_kernel,grid_kernel", PAIRS)
+    def test_run_refuses(self, session_kernel, grid_kernel, backend):
+        grids = self._grids(grid_kernel)
+        before = self._snapshot(grids)
+        with pytest.raises(ValueError, match="grid buffers"):
+            Session(get_stencil(session_kernel)).run(
+                RunConfig(steps=8, b=4, backend=backend), grid=grids[0])
+        assert self._snapshot(grids) == before
+
+    @pytest.mark.parametrize("backend", ["compiled", "serial"])
+    @pytest.mark.parametrize("session_kernel,grid_kernel", PAIRS)
+    def test_execute_refuses(self, session_kernel, grid_kernel, backend):
+        session = Session(get_stencil(session_kernel))
+        sched = session.build(RunConfig(shape=(64,), steps=8,
+                                        b=4)).schedule
+        grids = self._grids(grid_kernel)
+        before = self._snapshot(grids)
+        with pytest.raises(ValueError, match="grid buffers"):
+            session.execute(grids[0], sched, backend=backend)
+        assert self._snapshot(grids) == before
+
+    @pytest.mark.parametrize("session_kernel,grid_kernel", PAIRS)
+    def test_run_many_refuses(self, session_kernel, grid_kernel):
+        grids = self._grids(grid_kernel, n=3)
+        before = self._snapshot(grids)
+        with pytest.raises(ValueError, match="grid buffers"):
+            Session(get_stencil(session_kernel)).run_many(
+                RunConfig(steps=8, b=4), grids=grids)
+        assert self._snapshot(grids) == before
+
+
+class TestCallerScheduleKey:
+    """A caller's schedule is keyed by its content, so it never shares
+    a plan-cache entry with a configuration's own build."""
+
+    CFG = RunConfig(shape=(32, 32), steps=8, b=4, backend="compiled")
+
+    def test_mutated_schedule_does_not_poison_the_config(self):
+        cache = PlanCache()
+        spec = heat2d()
+        sched = Session(spec, cache=cache).build(self.CFG).schedule
+        Session(spec, cache=cache).execute(
+            Grid(spec, (32, 32), seed=3), drop_action(sched),
+            config=self.CFG)
+        result = Session(spec, cache=cache).run(self.CFG, verify=True)
+        assert result.stats.verified is True
+        assert result.stats.cache_hits == 0
+        ref = reference_sweep(spec, Grid(spec, (32, 32), init="random",
+                                         seed=self.CFG.seed),
+                              self.CFG.steps)
+        assert result.interior.tobytes() == ref.tobytes()
+
+    def test_same_caller_schedule_hits(self):
+        cache = PlanCache()
+        spec = heat2d()
+        sched = Session(spec, cache=cache).build(self.CFG).schedule
+        first = Session(spec, cache=cache).execute(
+            Grid(spec, (32, 32), seed=3), sched, config=self.CFG)
+        second = Session(spec, cache=cache).execute(
+            Grid(spec, (32, 32), seed=3), sched, config=self.CFG)
+        assert first.stats.plan_compiles == 1
+        assert second.stats.cache_hits == 1
+        assert second.plan is first.plan
+        # Session.lower without params keys by content as well
+        assert Session(spec, cache=cache).lower(sched) is first.plan
+        assert cache.stats.hits == 2
+
+    def test_build_params_keep_the_config_key(self):
+        """The CLI passes the build's params: that run shares the
+        configuration's entry, as before."""
+        cache = PlanCache()
+        spec = heat2d()
+        session = Session(spec, cache=cache)
+        built = session.build(self.CFG)
+        session.execute(Grid(spec, (32, 32), seed=3), built.schedule,
+                        config=self.CFG, params=built.params)
+        assert session.run(self.CFG).stats.cache_hits == 1
 
 
 class TestEngineResolution:

@@ -16,6 +16,7 @@ The chaos tests pin the PR's headline guarantees:
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -408,3 +409,77 @@ def test_serve_sigterm_drains_and_exits_zero(tmp_path):
             proc.communicate()
     assert proc.returncode == 0
     assert "draining" in out and "drained cleanly" in out
+
+
+# -- orphaned children ------------------------------------------------
+
+_ORPHAN_SUPERVISOR = """\
+import sys, time
+from repro.service import JobStore, Supervisor, SupervisorConfig
+
+sup = Supervisor(JobStore(sys.argv[1], fsync=False), SupervisorConfig(
+    workers=2, isolation="process", worker_heartbeat_s=0.05))
+sup.start()
+# two children: the second one's fork copies the first one's pipe end
+pids = [sup._ensure_child(w).proc.pid for w in range(2)]
+print(*pids, flush=True)
+time.sleep(600)
+"""
+
+# runs the supervisor as its own child and adopts the grandchildren
+# when the supervisor dies (PR_SET_CHILD_SUBREAPER), so their exit
+# codes can be read with waitpid; every wait is bounded, and it kills
+# and reaps any child that outlives its wait, so it leaves no process
+_ORPHAN_HARNESS = """\
+import ctypes, json, os, select, signal, subprocess, sys, time
+
+PR_SET_CHILD_SUBREAPER = 36
+ctypes.CDLL(None, use_errno=True).prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0)
+sup = subprocess.Popen([sys.executable, "-c", sys.argv[1], sys.argv[2]],
+                       stdout=subprocess.PIPE, text=True)
+ready = select.select([sup.stdout], [], [], 60)[0]
+pids = [int(p) for p in sup.stdout.readline().split()] if ready else []
+sup.kill()
+sup.wait()
+codes = {}
+deadline = time.monotonic() + float(sys.argv[3])
+while len(codes) < len(pids) and time.monotonic() < deadline:
+    for pid in pids:
+        if pid not in codes:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                codes[pid] = os.waitstatus_to_exitcode(status)
+    time.sleep(0.01)
+for pid in pids:
+    if pid not in codes:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        codes[pid] = "alive"
+print(json.dumps([codes[pid] for pid in pids]), flush=True)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs PR_SET_CHILD_SUBREAPER and fork")
+def test_children_exit_orphaned_when_the_supervisor_is_sigkilled(tmp_path):
+    """Every child closes the supervisor's pipe ends it inherited, so a
+    SIGKILLed supervisor leaves it EOF and it exits
+    ``EXIT_CHILD_ORPHANED`` instead of running on for good."""
+    import json
+    import subprocess
+
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_HARNESS, _ORPHAN_SUPERVISOR,
+         str(tmp_path / "store"), "20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        out, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert json.loads(out) == [isolation.EXIT_CHILD_ORPHANED] * 2
