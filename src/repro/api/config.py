@@ -231,6 +231,10 @@ class RunConfig:
         if qos_data:
             from repro.runtime.qos import QoSPolicy
 
+            if not isinstance(qos_data, dict):
+                raise TypeError(f"qos must be a JSON object, got "
+                                f"{qos_data!r}")
+
             cfg = replace(cfg, qos=QoSPolicy(
                 deadline_s=qos_data.get("deadline_s"),
                 max_memory_bytes=qos_data.get("max_memory_bytes"),

@@ -63,6 +63,7 @@ __all__ = [
     "life_slices",
     "life_batch",
     "life_batch_many",
+    "put_many",
     "take_many",
     "widen",
 ]
@@ -151,6 +152,14 @@ def take_many(flat, ish, shift, out, arena) -> None:
     flat.take(ish, axis=1, out=out, mode="clip")
 
 
+def put_many(flat, ish, shift, vals) -> None:
+    """``flat[:, ish + shift] = vals``, one instance at a time: N 1-D
+    scatters beat one 2-D fancy assignment, and write the same values
+    to the same places."""
+    for row, v in zip(flat, vals):
+        row[shift:][ish] = v
+
+
 def linear_batch(flat_src, flat_dst, idx, base, off_flats, coeffs,
                  arena) -> None:
     """Many same-step actions of a linear stencil as one gather/scatter.
@@ -194,7 +203,7 @@ def linear_batch_many(flat_src, flat_dst, idx, off_flats, coeffs,
         take_many(flat_src, ish, off, g, arena)
         np.multiply(g, c, out=g)
         np.add(acc, g, out=acc)
-    flat_dst[:, ish] = acc
+    put_many(flat_dst, ish, 0, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -277,4 +286,4 @@ def life_batch_many(flat_src, flat_dst, idx, off_flats, centre_off,
     np.logical_or(born, two, out=born)
     out = arena.get("obuf", nn * m, np.uint8).reshape(nn, m)
     np.copyto(out, born, casting="unsafe")
-    flat_dst[:, ish] = out
+    put_many(flat_dst, ish, 0, out)

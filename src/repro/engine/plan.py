@@ -72,6 +72,7 @@ from repro.engine.kernels import (
     linear_batch,
     linear_batch_many,
     linear_slices,
+    put_many,
     take_many,
     thread_arena,
     widen,
@@ -415,7 +416,7 @@ class _StagedBatch:
             out = arena.get("sgm_out", n * pos.size,
                             spec.dtype).reshape(n, pos.size)
             stage.apply_stage(out, gathered, arena)
-            scr2[:, wshift:][:, ish] = out
+            put_many(scr2, ish, wshift, out)
             if timed:
                 stage_timings.record(stage.name, time.perf_counter() - t0)
         ish = widen(self.idx, 0, arena, "sg_idx")
@@ -424,7 +425,7 @@ class _StagedBatch:
         for f in range(self.num_fields):
             off = f * self.field_size
             take_many(scr2, ish, off, g, arena)
-            dst2[:, off:][:, ish] = g
+            put_many(dst2, ish, off, g)
 
 
 class _PrivateTask:

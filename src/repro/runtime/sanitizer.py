@@ -751,4 +751,12 @@ def sanitize_distributed_plan(
                     step=a.t, group=task.group, task=task.label,
                     region=foot))
                 break
+    if ghost < ghost_required and "ghost-band" not in report.kinds():
+        # every read fits, but the executor refuses any band below
+        # SlabPartition.ghost_width: report that bound, not the reach
+        report.add(Violation(
+            "ghost-band",
+            f"ghost {ghost} is below the band the executor requires "
+            f"over {ranks} ranks along axis {axis}; required ghost "
+            f"width is {ghost_required}"))
     return report

@@ -18,7 +18,8 @@ GET    ``/jobs/<id>/result``      sealed result: stats + interior
                                   array; 409 until the job is ``done``
 POST   ``/jobs/<id>/cancel``      cancel (idempotent)
 GET    ``/metrics``               supervisor + queue + store counters,
-                                  plus per-worker liveness
+                                  per-worker liveness, and the front's
+                                  connection counts (``front``)
 GET    ``/healthz``               deep liveness: per-worker heartbeat
                                   age / current job / incarnation and
                                   queue pressure; **503** with
@@ -36,15 +37,26 @@ re-raise the typed exception — the module's client helpers
 (:func:`submit_job` & co.) do exactly that, which is how the CLI's
 ``repro submit/status/result`` map server-side saturation onto the
 same exit code a local refusal produces.
+
+Connections are persistent HTTP/1.1.  The client helpers keep one
+connection per thread and server; the front answers with Nagle's
+algorithm off, closes a connection whose request body it left unread
+(or whose framing it cannot trust), closes idle connections after
+:data:`IDLE_TIMEOUT_S`, and :meth:`ServiceFront.stop` ends the idle
+ones.  HTTP-level errors (a malformed request line or header) carry the
+same ``{"error", "kind"}`` body.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
+from http import HTTPStatus
+from http.client import BadStatusLine, HTTPConnection, HTTPSConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
-from urllib.request import Request, urlopen
+from urllib.parse import SplitResult, urlsplit
 
 from repro.runtime.errors import (
     JobNotFound,
@@ -63,6 +75,10 @@ __all__ = [
 
 _MAX_BODY = 8 << 20  # request bodies are job specs, not bulk data
 
+#: seconds a connection may sit idle, or stall mid-request, before the
+#: front closes it
+IDLE_TIMEOUT_S = 30.0
+
 
 def _error_payload(exc: Exception) -> Tuple[int, Dict[str, Any]]:
     """Map an exception to ``(http_status, body)`` — the wire-side
@@ -76,7 +92,7 @@ def _error_payload(exc: Exception) -> Tuple[int, Dict[str, Any]]:
         return 429, {"error": str(exc), "kind": "QueueSaturated"}
     if isinstance(exc, JobNotFound):
         return 404, {"error": str(exc), "kind": "JobNotFound"}
-    if isinstance(exc, (ValueError, KeyError, TypeError)):
+    if isinstance(exc, (ValueError, KeyError, TypeError, OverflowError)):
         return 400, {"error": str(exc), "kind": type(exc).__name__}
     return 500, {"error": str(exc), "kind": type(exc).__name__}
 
@@ -86,6 +102,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # the response goes out as two writes (headers, body); with Nagle
+    # on, the second waits for the client's delayed ACK of the first
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
+    #: request-body bytes not yet read; ``None`` when the framing is
+    #: unknown.  A response sent while it is not 0 closes the
+    #: connection: the unread bytes would parse as the next request.
+    _unread: Optional[int] = None
 
     # -- plumbing -----------------------------------------------------
 
@@ -98,16 +122,52 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self._unread != 0:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
+    def send_error(self, code, message=None, explain=None):
+        """HTTP-level errors (a malformed request line or header, an
+        unsupported method) answer with the typed JSON body, and close."""
+        self.log_error("code %d, message %s", code, message)
+        self._unread = None
+        # a request line too malformed to carry its version would
+        # otherwise be answered HTTP/0.9 style: a body, no status line
+        self.request_version = self.protocol_version
+        self._send_json(code, {"error": message or HTTPStatus(code).phrase,
+                               "kind": "HTTPError"})
+
+    def _body_length(self) -> int:
+        """The request's ``Content-Length``; refuses framing it cannot
+        follow (chunked, repeated, negative or non-decimal lengths)."""
+        if "Transfer-Encoding" in self.headers:
+            raise ValueError("Transfer-Encoding is not supported; send "
+                             "a Content-Length")
+        values = self.headers.get_all("Content-Length") or ["0"]
+        if len(values) > 1 or not (values[0].isascii()
+                                   and values[0].isdigit()):
+            raise ValueError(f"bad Content-Length {', '.join(values)!r}")
+        return int(values[0])
+
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._unread
         if length > _MAX_BODY:
             raise ValueError(f"request body of {length} bytes exceeds "
                              f"the {_MAX_BODY} byte bound")
-        raw = self.rfile.read(length) if length else b"{}"
-        data = json.loads(raw or b"{}")
+        try:
+            raw = self.rfile.read(length) if length else b"{}"
+        except TimeoutError:
+            raise ValueError(f"request body stalled for {self.timeout:g} "
+                             f"s") from None
+        if len(raw) < length:
+            raise ValueError(f"request body ended after {len(raw)} of "
+                             f"{length} bytes")
+        self._unread = 0
+        try:
+            data = json.loads(raw or b"{}")
+        except RecursionError:
+            raise ValueError("request body nests too deeply") from None
         if not isinstance(data, dict):
             raise ValueError("request body must be a JSON object")
         return data
@@ -120,7 +180,8 @@ class _Handler(BaseHTTPRequestHandler):
                 health = sup.health()
                 return (200 if health.get("ok") else 503), health
             if parts == ["metrics"]:
-                return 200, sup.snapshot_metrics()
+                return 200, dict(sup.snapshot_metrics(),
+                                 front=self.server.counters())
             if parts == ["jobs"]:
                 return 200, {"jobs": [
                     {"job_id": j.job_id, "kernel": j.kernel,
@@ -164,7 +225,7 @@ class _Handler(BaseHTTPRequestHandler):
         from repro.api.stats import encode_array
         from repro.service.jobstore import DONE
 
-        job = sup.store.get(job_id)
+        job = sup.store.resident(job_id)
         if job.state != DONE:
             return 409, {"job_id": job_id, "state": job.state,
                          "error": f"job is {job.state}, not done",
@@ -176,7 +237,9 @@ class _Handler(BaseHTTPRequestHandler):
                      "stats": stats, "interior": encode_array(interior)}
 
     def _dispatch(self) -> None:
+        self._unread = None
         try:
+            self._unread = self._body_length()
             status, payload = self._route()
         except Exception as exc:  # typed taxonomy, not a stack trace
             status, payload = _error_payload(exc)
@@ -186,15 +249,56 @@ class _Handler(BaseHTTPRequestHandler):
     do_POST = _dispatch
 
 
+class _Server(ThreadingHTTPServer):
+    """The threading server, counting and tracking its connections so
+    :meth:`end_connections` can close the idle ones."""
+
+    daemon_threads = True
+
+    def __init__(self, address, supervisor):
+        super().__init__(address, _Handler)
+        self.supervisor = supervisor
+        self.accepted = 0
+        self._open: set = set()
+        self._open_changed = threading.Condition()
+
+    def process_request(self, request, client_address):
+        with self._open_changed:
+            self.accepted += 1
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_changed:
+            self._open.discard(request)
+            self._open_changed.notify_all()
+        super().shutdown_request(request)
+
+    def counters(self) -> Dict[str, int]:
+        with self._open_changed:
+            return {"connections": self.accepted,
+                    "open_connections": len(self._open)}
+
+    def end_connections(self, timeout: float) -> None:
+        """Shut the read side of every open connection: an idle
+        handler's next read sees end-of-stream and its thread ends (a
+        busy one answers first).  Waits up to ``timeout`` for them."""
+        with self._open_changed:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+            self._open_changed.wait_for(lambda: not self._open, timeout)
+
+
 class ServiceFront:
     """Own the HTTP server thread over a started supervisor."""
 
     def __init__(self, supervisor, host: str = "127.0.0.1",
                  port: int = 0):
         self.supervisor = supervisor
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.supervisor = supervisor
-        self._httpd.daemon_threads = True
+        self._httpd = _Server((host, port), supervisor)
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -216,6 +320,7 @@ class ServiceFront:
 
     def stop(self) -> None:
         self._httpd.shutdown()
+        self._httpd.end_connections(timeout=5.0)
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -230,24 +335,101 @@ class ServiceFront:
 
 # -- client helpers ---------------------------------------------------
 
+#: what a kept-alive connection the server has since closed raises
+#: before any response arrives (``RemoteDisconnected`` is both of the
+#: first and the last)
+_STALE = (ConnectionResetError, BrokenPipeError, BadStatusLine)
+_HEADERS = {"Content-Type": "application/json"}
+_pool = threading.local()
+
+
+class _Connections(dict):
+    """One thread's connections by ``scheme://host:port``; closed when
+    the thread ends."""
+
+    def __del__(self):
+        for conn in self.values():
+            conn.close()
+
+
+def _pooled(url: SplitResult, timeout: float):
+    """This thread's connection to ``url``'s server, as ``(key, conn,
+    reused)``; ``reused`` means it has carried a request before."""
+    try:
+        conns = _pool.conns
+    except AttributeError:
+        conns = _pool.conns = _Connections()
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise ValueError(f"not an http(s) URL: {url.geturl()!r}")
+    https = url.scheme == "https"
+    port = url.port or (443 if https else 80)
+    key = f"{url.scheme}://{url.hostname}:{port}"
+    conn = conns.get(key)
+    if conn is None:
+        cls = HTTPSConnection if https else HTTPConnection
+        conn = conns[key] = cls(url.hostname, port, timeout=timeout)
+        return key, conn, False
+    conn.timeout = timeout
+    if conn.sock is not None:
+        conn.sock.settimeout(timeout)
+    return key, conn, conn.sock is not None
+
+
+def _drop(key: str) -> None:
+    conn = _pool.conns.pop(key, None)
+    if conn is not None:
+        conn.close()
+
+
+def _roundtrip(url: SplitResult, method: str, target: str,
+               data: Optional[bytes], timeout: float):
+    """Send one request on the pooled connection: ``(status, reason,
+    body)``.
+
+    A reused connection that fails before any response arrives (the
+    server closed it while idle, or restarted) is retried once on a
+    fresh one.  That is safe because every route is idempotent: reads,
+    ``POST /jobs`` (deduplicated by its idempotency key) and
+    ``POST …/cancel``.
+    """
+    key, conn, reused = _pooled(url, timeout)
+    try:
+        try:
+            conn.request(method, target, body=data, headers=_HEADERS)
+            resp = conn.getresponse()
+        except _STALE:
+            if not reused:
+                raise
+            _drop(key)
+            key, conn, _ = _pooled(url, timeout)
+            conn.request(method, target, body=data, headers=_HEADERS)
+            resp = conn.getresponse()
+        raw = resp.read()
+    except BaseException:
+        _drop(key)
+        raise
+    if resp.will_close:
+        _drop(key)
+    return resp.status, resp.reason, raw
+
+
 def _request(base: str, path: str, *, method: str = "GET",
              body: Optional[Dict[str, Any]] = None,
              timeout: float = 30.0) -> Dict[str, Any]:
     """One JSON round trip; server error bodies re-raise typed."""
-    from urllib.error import HTTPError
-
+    url = urlsplit(base)
     data = None if body is None else json.dumps(body).encode()
-    req = Request(f"{base.rstrip('/')}{path}", data=data, method=method,
-                  headers={"Content-Type": "application/json"})
+    status, reason, raw = _roundtrip(url, method,
+                                     url.path.rstrip("/") + path, data,
+                                     timeout)
+    if 200 <= status < 300:
+        return json.loads(raw or b"{}")
     try:
-        with urlopen(req, timeout=timeout) as resp:
-            return json.loads(resp.read() or b"{}")
-    except HTTPError as exc:
-        try:
-            payload = json.loads(exc.read() or b"{}")
-        except ValueError:
-            payload = {"error": str(exc), "kind": "HTTPError"}
-        raise _typed(payload, exc.code) from None
+        payload = json.loads(raw or b"{}")
+    except ValueError:
+        payload = {"error": f"HTTP Error {status}: {reason}",
+                   "kind": "HTTPError"}
+    raise _typed(payload, status)
 
 
 def _typed(payload: Dict[str, Any], status: int) -> Exception:
@@ -286,8 +468,6 @@ def job_result(base: str, job_id: str, *, timeout: float = 30.0,
                decode: bool = True) -> Dict[str, Any]:
     """Fetch a sealed result; with ``decode`` the interior comes back
     as an ndarray (hash-verified)."""
-    from urllib.error import HTTPError  # noqa: F401  (re-raise path)
-
     out = _request(base, f"/jobs/{job_id}/result", timeout=timeout)
     if decode and isinstance(out.get("interior"), dict):
         from repro.api.stats import decode_array

@@ -61,7 +61,7 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -175,10 +175,29 @@ class Job:
         return self.checkpoints[-1][0] if self.checkpoints else -1
 
     def to_json(self) -> Dict[str, Any]:
-        out = asdict(self)
-        del out["submit_at"], out["result_at"]
-        out["checkpoints"] = [list(c) for c in self.checkpoints]
-        return out
+        """The JSON view, in field order.  ``config`` and ``stats`` are
+        the job's own dicts, not copies: serialize the view, do not
+        mutate it."""
+        return {
+            "job_id": self.job_id,
+            "kernel": self.kernel,
+            "config": self.config,
+            "idempotency_key": self.idempotency_key,
+            "priority": self.priority,
+            "max_retries": self.max_retries,
+            "state": self.state,
+            "attempts": self.attempts,
+            "submitted_unix": self.submitted_unix,
+            "estimated_bytes": self.estimated_bytes,
+            "error": self.error,
+            "error_kind": self.error_kind,
+            "resumed_from_step": self.resumed_from_step,
+            "worker_crashes": self.worker_crashes,
+            "checkpoints": [list(c) for c in self.checkpoints],
+            "result_path": self.result_path,
+            "result_sha256": self.result_sha256,
+            "stats": self.stats,
+        }
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "Job":
@@ -465,15 +484,17 @@ class JobStore:
     # -- submission / lookup ------------------------------------------
 
     def submit(self, kernel: str, config: Dict[str, Any], *,
-               priority: int = 0,
-               max_retries: int = 2) -> Tuple[Job, bool]:
+               priority: int = 0, max_retries: int = 2,
+               identity: Optional[tuple] = None) -> Tuple[Job, bool]:
         """Journal a new job, or return the existing one (idempotency).
 
         Returns ``(job, created)``; ``created=False`` means the same
         (spec signature, config) was already journaled and the caller
         got the existing job — whatever state it has reached.
+        ``identity`` is :func:`job_identity`'s result for this kernel
+        and config, when the caller already has it.
         """
-        _, _, shape, key, estimate = job_identity(kernel, config)
+        _, _, _, key, estimate = identity or job_identity(kernel, config)
         with self._lock:
             existing = self._by_key.get(key)
             if existing is not None:
@@ -502,6 +523,12 @@ class JobStore:
         if job is None:
             raise JobNotFound(job_id)
         return job
+
+    def resident(self, job_id: str) -> Job:
+        """The in-memory record, with nothing read back: a finished
+        job's ``config`` and ``stats`` are ``None``."""
+        with self._lock:
+            return self._job(job_id)
 
     def get(self, job_id: str) -> Job:
         """The job's full record.

@@ -434,7 +434,8 @@ class Supervisor:
         if self._draining.is_set():
             self.metrics.refused += 1
             raise ServiceDraining()
-        _, _, _, key, estimate = job_identity(kernel, config)
+        identity = job_identity(kernel, config)
+        _, _, _, key, estimate = identity
         with self.store._lock:
             known = self.store._by_key.get(key)
         if known is None:
@@ -446,7 +447,8 @@ class Supervisor:
         job, created = self.store.submit(
             kernel, config, priority=priority,
             max_retries=(self.config.default_max_retries
-                         if max_retries is None else max_retries))
+                         if max_retries is None else max_retries),
+            identity=identity)
         if created:
             self.metrics.submitted += 1
             self.queue.put(job, force=True)

@@ -158,6 +158,23 @@ def test_batchgrid_scatter_roundtrip():
         assert np.array_equal(g.buffers[1], pair[1])
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+@pytest.mark.parametrize("shift", [0, 3])
+def test_put_many_matches_the_2d_scatter(dtype, shift):
+    """The instance-by-instance scatter writes what ``flat[:, shift:][:,
+    ish] = vals`` writes, and nothing else."""
+    from repro.engine.kernels import put_many
+
+    rng = np.random.default_rng(shift)
+    ish = rng.permutation(97)[:60].astype(np.intp)
+    vals = rng.integers(0, 200, size=(4, 60)).astype(dtype)
+    want = rng.integers(0, 200, size=(4, 100)).astype(dtype)
+    got = want.copy()
+    want[:, shift:][:, ish] = vals
+    put_many(got, ish, shift, vals)
+    assert np.array_equal(got, want)
+
+
 # -- cache amortisation counter ---------------------------------------
 
 def test_batched_hits_counter_and_wire_format():

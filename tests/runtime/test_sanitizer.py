@@ -321,6 +321,20 @@ class TestDistributedGhostBand:
         assert "rank" in v.detail and "required ghost width" in v.detail
         assert v.task and v.step is not None and v.group is not None
 
+    @pytest.mark.parametrize("ghost", [5, 7])
+    def test_band_the_executor_refuses_is_reported(self, ghost):
+        """Every read fits a band of 5 here, but the executor refuses
+        any band below ``SlabPartition.ghost_width`` (8): the pre-flight
+        must not pass a run the executor then refuses."""
+        spec = get_stencil("heat1d")
+        lat = make_lattice(spec, (400,), 4)
+        required = SlabPartition((400,), 4).ghost_width(lat)
+        assert required == 8
+        report = sanitize_distributed_plan(spec, lat, 16, 4, ghost=ghost)
+        assert set(report.kinds()) == {"ghost-band"}
+        assert f"required ghost width is {required}" \
+            in report.violations[0].detail
+
     @pytest.mark.parametrize("n", [37, 101])
     def test_stretched_lattice_plan_is_clean(self, n):
         """§3.6 stretched blocks: clean at the lattice-derived width."""

@@ -154,3 +154,21 @@ def test_malformed_submission_is_400(served):
         submit_job(url, "", CFG)
     with pytest.raises(ValueError):  # unknown RunConfig field
         submit_job(url, "heat1d", {"no_such_knob": 1})
+
+
+def test_result_reads_back_one_journal_record(served, monkeypatch):
+    """``GET /jobs/<id>/result`` checks the resident state, then reads
+    back only the ``result`` record (``load_result``'s CRC check)."""
+    url, sup, store = served
+    out = submit_job(url, "heat1d", CFG)
+    sup.wait(out["job_id"], timeout=60)
+    offsets = []
+    read = store._read_record
+
+    def counted(offset):
+        offsets.append(offset)
+        return read(offset)
+
+    monkeypatch.setattr(store, "_read_record", counted)
+    assert job_result(url, out["job_id"])["stats"]["steps"] == 12
+    assert len(offsets) == 1

@@ -317,3 +317,19 @@ def test_job_json_roundtrip():
               idempotency_key="k", checkpoints=[(4, "p", "sha")])
     clone = Job.from_json(json.loads(json.dumps(job.to_json())))
     assert clone == job
+
+
+def test_job_json_is_the_dataclass_view():
+    """``to_json`` builds its dict field by field: the same keys, order
+    and values as ``dataclasses.asdict`` minus the store's offsets."""
+    import dataclasses
+
+    job = Job(job_id="job-x", kernel="heat1d", config=dict(CFG),
+              idempotency_key="k", state="done", attempts=1,
+              checkpoints=[(4, "p", "sha")], result_path="r",
+              result_sha256="s", stats={"phases": {"execute": 0.1}},
+              submit_at=0, result_at=64)
+    want = dataclasses.asdict(job)
+    del want["submit_at"], want["result_at"]
+    want["checkpoints"] = [[4, "p", "sha"]]
+    assert json.dumps(job.to_json()) == json.dumps(want)

@@ -69,6 +69,26 @@ def test_job_runs_to_done_bit_identical(store, sup):
     assert sup.snapshot_metrics()["supervisor"]["completed"] == 1
 
 
+def test_submit_resolves_the_identity_once(store, monkeypatch):
+    """The supervisor hands its admission-time identity to the store
+    instead of the store resolving the spec and config again."""
+    from repro.service import jobstore
+
+    calls = []
+    resolve = jobstore.job_identity
+
+    def counted(kernel, config):
+        calls.append(kernel)
+        return resolve(kernel, config)
+
+    monkeypatch.setattr(jobstore, "job_identity", counted)
+    sup = Supervisor(store, SupervisorConfig(workers=1))  # not started
+    job, created = sup.submit("heat1d", CFG)
+    assert created and calls == ["heat1d"]
+    assert sup.submit("heat1d", CFG) == (job, False)
+    assert calls == ["heat1d"] * 2
+
+
 def test_compiled_backend_job(store, sup):
     job, _ = sup.submit("heat1d", dict(CFG, backend="compiled",
                                        engine="compiled"))

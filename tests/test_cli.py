@@ -142,6 +142,16 @@ class TestCliSanitize:
         assert rc == 5
         assert "ghost-band" in err and "required ghost width" in err
 
+    @pytest.mark.parametrize("ghost", ["5", "7"])
+    def test_dist_sanitize_refused_ghost_exits_5(self, ghost, capsys):
+        """The pre-flight reports a band the executor would refuse
+        (exit 2 after a clean pre-flight, before the fix)."""
+        rc = main(["dist", "heat1d", "--shape", "400", "--steps", "16",
+                   "-b", "4", "--ranks", "4", "--ghost", ghost,
+                   "--sanitize"])
+        assert rc == 5
+        assert "required ghost width is 8" in capsys.readouterr().err
+
     def test_dist_sanitize_clean_exits_0(self, capsys):
         rc = main(["dist", "heat1d", "--shape", "400", "--steps", "8",
                    "-b", "4", "--ranks", "4", "--sanitize"])
