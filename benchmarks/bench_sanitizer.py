@@ -1,19 +1,30 @@
-"""Schedule-sanitizer pre-flight overhead (ISSUE 2).
+"""Schedule-sanitizer pre-flight overhead.
 
 Measures what ``--sanitize`` costs on the happy path: points/sec of a
 threaded ``Session.execute`` run with and without the structural
-pre-flight, across growing problem sizes.  Not a paper figure; this quantifies the
-engineering trade-off recorded in ``docs/sanitizer.md`` and guards
-the sanitizer's near-linear complexity — the axis-sorted bounding-box
-sweep must examine O(tasks log tasks) candidate pairs, not the
-quadratic all-pairs count.
+pre-flight, across growing problem sizes.  Not a paper figure; this
+quantifies the engineering trade-off recorded in ``docs/sanitizer.md``.
+Three guards:
+
+* on heat1d the guarded run stays within a bounded multiple of the
+  plain one;
+* the race check compares O(tasks log tasks) task pairs, not the
+  quadratic all-pairs count — only pairs whose dilated bounding boxes
+  meet, found by a rectangle join keyed by barrier group;
+* on heat2d 256² (default tiles, 16 steps, b=4) the pre-flight takes
+  less time than the same schedule's 2-thread ``threaded`` execute.
+  The pre-flight's cost grows with the rectangle pairs its joins
+  compare, and its per-step disjointness proof expands cells for steps
+  of many rectangles, so a 1D row alone cannot show it.
 """
 
 import math
+import statistics
 import time
 
 from repro import Grid, get_stencil, make_lattice
 from repro.api import Session
+from repro.cli import _build_schedule
 from repro.core.schedules import tess_schedule
 from repro.runtime import sanitize_schedule
 
@@ -53,7 +64,7 @@ def test_sanitizer_preflight_overhead(benchmark, capsys):
         print(f"  plain     : {points / plain:12.0f} points/s")
         print(f"  --sanitize: {points / guarded:12.0f} points/s "
               f"(pre-flight {report.seconds * 1e3:.1f} ms, "
-              f"{report.pairs_checked} pairs swept)")
+              f"{report.pairs_checked} pairs checked)")
 
     assert report.ok, report.describe()
     # the pre-flight may dominate tiny runs, but must stay bounded: the
@@ -62,7 +73,7 @@ def test_sanitizer_preflight_overhead(benchmark, capsys):
 
 
 def test_race_sweep_is_near_linear(benchmark, capsys):
-    """The bbox sweep examines O(tasks log tasks) pairs, not O(tasks^2)."""
+    """The bbox join compares O(tasks log tasks) pairs, not O(tasks^2)."""
     sizes = (1000, 2000, 4000, 8000)
 
     def measure():
@@ -78,7 +89,7 @@ def test_race_sweep_is_near_linear(benchmark, capsys):
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
 
     with capsys.disabled():
-        print("\n[sanitizer] race-sweep scaling (heat1d, "
+        print("\n[sanitizer] race-check scaling (heat1d, "
               f"steps={STEPS}, b={B}):")
         print(f"  {'n':>6} {'tasks':>6} {'pairs':>8} "
               f"{'n log n':>9} {'seconds':>8}")
@@ -87,9 +98,9 @@ def test_race_sweep_is_near_linear(benchmark, capsys):
             print(f"  {n:>6} {ntasks:>6} {pairs:>8} "
                   f"{bound:>9.0f} {secs:>8.3f}")
 
-    # near-linear: pairs swept bounded by C * tasks * log2(tasks) with a
-    # small constant (pairs only survive the sweep when bboxes overlap
-    # along axis 0, so neighbours dominate)
+    # pairs compared bounded by C * tasks * log2(tasks) with a small
+    # constant (only task pairs whose dilated bboxes meet are compared,
+    # so neighbours dominate)
     for _, ntasks, pairs, _ in rows:
         assert pairs <= 8 * ntasks * math.log2(max(ntasks, 2)), (
             f"race sweep superlinear: {pairs} pairs for {ntasks} tasks")
@@ -100,3 +111,36 @@ def test_race_sweep_is_near_linear(benchmark, capsys):
     task_growth = t1 / max(t0, 1)
     assert growth <= 2.0 * task_growth, (
         f"pair count grew {growth:.1f}x for {task_growth:.1f}x tasks")
+
+
+def test_preflight_undercuts_a_threaded_run_in_2d(benchmark, capsys):
+    """heat2d 256²: pre-flight seconds ÷ 2-thread execute seconds < 1."""
+    spec = get_stencil("heat2d")
+    shape = (256, 256)
+    sched = _build_schedule(spec, shape, 16, "tess", 4)
+
+    def preflight():
+        return [sanitize_schedule(spec, sched) for _ in range(3)]
+
+    reports = benchmark.pedantic(preflight, rounds=1, iterations=1)
+    assert all(r.ok for r in reports), reports[0].describe()
+    assert sched._tasks is None     # the pre-flight read only the table
+    session = Session(spec)
+    runs = []
+    for _ in range(2):
+        grid = Grid(spec, shape, seed=0)
+        t0 = time.perf_counter()
+        session.execute(grid, sched, backend="threaded", threads=2)
+        runs.append(time.perf_counter() - t0)
+    check = statistics.median(r.seconds for r in reports)
+    ratio = check / min(runs)
+
+    with capsys.disabled():
+        print(f"\n[sanitizer] heat2d {shape[0]}x{shape[1]} steps=16 b=4 "
+              f"({reports[0].actions_checked} actions): pre-flight "
+              f"{check:.3f} s, threaded x2 {min(runs):.3f} s, "
+              f"ratio {ratio:.2f}")
+
+    assert ratio < 1.0, (
+        f"pre-flight {check:.3f} s is not below the threaded run "
+        f"{min(runs):.3f} s")

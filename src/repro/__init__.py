@@ -44,7 +44,7 @@ from repro.api import (
     run,
 )
 
-__version__ = "4.2.0"
+__version__ = "4.3.0"
 
 __all__ = [
     "Grid",

@@ -143,6 +143,66 @@ def overlapping_layers(starts: np.ndarray, sizes: np.ndarray,
     return bad
 
 
+def intersecting_pairs(key_a: np.ndarray, lo_a: np.ndarray, hi_a: np.ndarray,
+                       key_b: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray):
+    """Every ``(i, j)`` with ``key_a[i] == key_b[j]`` whose boxes meet.
+
+    Boxes are rows ``[lo, hi)`` of each set, all non-empty; keys are
+    non-negative integers.  A spatial hash joins the sets: buckets are
+    as wide as the median box extent along each axis, each box lands in
+    every bucket it overlaps, and a pair counts only in the bucket that
+    holds the low corner of its intersection, so it comes back once.
+    Returns index arrays ``(i, j)`` in no particular order; candidates
+    are compared in chunks of about :data:`CHUNK`.
+    """
+    lo_a, hi_a, lo_b, hi_b = (np.asarray(x, dtype=np.int64)
+                              for x in (lo_a, hi_a, lo_b, hi_b))
+    if not (len(lo_a) and len(lo_b)):
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    lo, hi = np.concatenate((lo_a, lo_b)), np.concatenate((hi_a, hi_b))
+    side = np.maximum(np.median(hi - lo, axis=0).astype(np.int64), 1)
+    origin = lo.min(axis=0)
+    nb = (hi.max(axis=0) - 1 - origin) // side + 1
+    strides = np.cumprod(np.append(1, nb[:0:-1]))[::-1]
+    buckets = int(np.prod(nb))
+
+    def entries(key, lo, hi):
+        """(box, bucket, key * buckets + bucket) of every box's buckets,
+        sorted by the last (sorted queries search fastest)."""
+        first = (lo - origin) // side
+        last = (hi - 1 - origin) // side + 1
+        box = np.repeat(np.arange(len(lo)), np.prod(last - first, axis=1))
+        bucket = flat_indices(first, last, np.zeros_like(side), strides,
+                              buckets).astype(np.int64)
+        comp = np.asarray(key, np.int64)[box] * buckets + bucket
+        order = np.argsort(comp, kind="stable")
+        return box[order], bucket[order], comp[order]
+
+    box_a, bucket_a, comp_a = entries(key_a, lo_a, hi_a)
+    box_b, _, comp_b = entries(key_b, lo_b, hi_b)
+    left = np.searchsorted(comp_b, comp_a, "left")
+    count = np.searchsorted(comp_b, comp_a, "right") - left
+    # one contiguous column per bound and axis: 1-D gathers are cheaper
+    cols = [np.ascontiguousarray(x.T) for x in (lo_a, hi_a, lo_b, hi_b)]
+    out_a, out_b = [], []
+    for i, j in chunks(count):
+        n = count[i:j]
+        entry = np.repeat(np.arange(i, j), n)
+        a = box_a[entry]
+        b = box_b[np.repeat(left[i:j], n) + ragged_arange(n)]
+        hit, corner = True, 0
+        for (la, ha, lb, hb), o, s, st in zip(zip(*cols), origin, side,
+                                              strides):
+            low = np.maximum(la[a], lb[b])
+            hit = hit & (low < np.minimum(ha[a], hb[b]))
+            corner = corner + (low - o) // s * st
+        hit &= corner == bucket_a[entry]
+        out_a.append(a[hit])
+        out_b.append(b[hit])
+    return np.concatenate(out_a), np.concatenate(out_b)
+
+
 def fuse_layers(layer: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Greedy rectangle fusion of every layer at once.
 

@@ -23,8 +23,8 @@ On top of that one representation sit:
   groups double as consistency points: at every barrier the ping-pong
   pair is a complete state, so a snapshot plus the group index is all
   a restart needs.
-* the structural sanitizer (:mod:`~repro.runtime.sanitizer`) — a
-  symbolic interval-arithmetic analysis proving tessellation
+* the structural sanitizer (:mod:`~repro.runtime.sanitizer`) — NumPy
+  rectangle passes over the schedule table proving tessellation
   (Theorem 3.5), ping-pong dependence legality (Theorem 3.6) and
   intra-group race freedom for any schedule *before* it runs, with
   seeded-bug mutators (:mod:`~repro.runtime.mutations`) as its test

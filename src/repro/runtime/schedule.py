@@ -29,7 +29,7 @@ Two representations, one schedule:
   :class:`ScheduledTask`.  Schemes built with :meth:`RegionSchedule.add`
   keep it as their state; for a table-built schedule it is derived
   data, built once (thread-safely) the first time a consumer asks for
-  it — the sanitizer, the naive walkers, threads — and never pickled.
+  it — the naive walkers, threads — and never pickled.
 """
 
 from __future__ import annotations
@@ -180,8 +180,11 @@ def _table_from_tasks(tasks: Sequence[ScheduledTask], d: int) -> ScheduleTable:
     """One pass over the object view (not cached: ``add`` may follow)."""
     counts = [len(task.actions) for task in tasks]
     regions = [a.region for task in tasks for a in task.actions]
-    if any(len(region) != d for region in regions):
-        raise ValueError(f"schedule region rank != {d}")
+    bad = next(((task.label, a.t) for task in tasks for a in task.actions
+                if len(a.region) != d), None)
+    if bad:
+        raise ValueError(
+            f"region rank != {d} in task {bad[0]!r} at t={bad[1]}")
     boxes = table_column([v for region in regions for iv in region
                           for v in iv], "lo/hi").reshape(len(regions), d, 2)
     return ScheduleTable(
@@ -328,20 +331,18 @@ class RegionSchedule:
         return int(self.table().points().sum())
 
     def validate_structure(self) -> None:
-        """Cheap structural checks (groups ordered, actions in range)."""
-        for task in self.tasks:
-            if task.group < 0:
-                raise ValueError(f"negative barrier group in {task.label!r}")
-            for a in task.actions:
-                if not 0 <= a.t < self.steps:
-                    raise ValueError(
-                        f"action at t={a.t} outside [0, {self.steps}) in "
-                        f"{task.label!r}"
-                    )
-                if len(a.region) != len(self.shape):
-                    raise ValueError(
-                        f"region rank mismatch in {task.label!r}"
-                    )
+        """Cheap structural checks over :meth:`table` (which refuses a
+        region of the wrong rank): groups and steps in range."""
+        table = self.table()
+        negative = np.flatnonzero(table.group < 0)
+        if negative.size:
+            raise ValueError(
+                f"negative barrier group in {table.label[negative[0]]!r}")
+        late = np.flatnonzero((table.t < 0) | (table.t >= self.steps))
+        if late.size:
+            raise ValueError(
+                f"action at t={table.t[late[0]]} outside [0, {self.steps}) "
+                f"in {table.label[table.task[late[0]]]!r}")
 
 
 def _check_inputs(spec: StencilSpec, grid: Grid, schedule: RegionSchedule,

@@ -41,7 +41,8 @@ same exit code a local refusal produces.
 Connections are persistent HTTP/1.1.  The client helpers keep one
 connection per thread and server; the front answers with Nagle's
 algorithm off, closes a connection whose request body it left unread
-(or whose framing it cannot trust), closes idle connections after
+(or whose framing it cannot trust) after draining that body within a
+fixed bound, closes idle connections after
 :data:`IDLE_TIMEOUT_S`, and :meth:`ServiceFront.stop` ends the idle
 ones.  HTTP-level errors (a malformed request line or header) carry the
 same ``{"error", "kind"}`` body.
@@ -52,6 +53,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 from http import HTTPStatus
 from http.client import BadStatusLine, HTTPConnection, HTTPSConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -74,6 +76,8 @@ __all__ = [
 ]
 
 _MAX_BODY = 8 << 20  # request bodies are job specs, not bulk data
+#: the bytes and seconds the front drains of a body it refused unread
+_DRAIN_BYTES, _DRAIN_S = 4 * _MAX_BODY, 2.0
 
 #: seconds a connection may sit idle, or stall mid-request, before the
 #: front closes it
@@ -244,6 +248,25 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # typed taxonomy, not a stack trace
             status, payload = _error_payload(exc)
         self._send_json(status, payload)
+        if self._unread != 0:
+            self._drain()
+
+    def _drain(self) -> None:
+        """End the answer, then discard what the client still sends,
+        within :data:`_DRAIN_BYTES` and :data:`_DRAIN_S`: closing on
+        unread bytes resets the connection, and a client still sending
+        its body would see the reset instead of the answer."""
+        deadline, left = time.monotonic() + _DRAIN_S, _DRAIN_BYTES
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            while left > 0 and (wait := deadline - time.monotonic()) > 0:
+                self.connection.settimeout(wait)
+                chunk = self.connection.recv(min(left, 1 << 16))
+                if not chunk:
+                    break
+                left -= len(chunk)
+        except OSError:     # a timeout, or the client is gone
+            pass
 
     do_GET = _dispatch
     do_POST = _dispatch

@@ -7,8 +7,11 @@ close``, is closed: a body the front did not read must never be parsed
 as the next request.  The journal still replays afterwards.
 """
 
+import http.client
 import json
 import socket
+import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -184,6 +187,55 @@ def test_stalled_body_answers_400_and_closes(front, monkeypatch):
         assert answer[1]["connection"] == "close"
         assert conn.rfile.read() == b""
     finally:
+        conn.close()
+
+
+def test_oversized_body_gets_its_typed_400(front):
+    """A body over the bound is refused unread and then drained, so a
+    client still sending it reads the 400 instead of a reset."""
+    served, _ = front
+    conn = http.client.HTTPConnection(*served.address, timeout=30)
+    try:
+        conn.request("POST", "/jobs", body=b" " * (9 << 20),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 400
+        assert json.loads(response.read())["kind"] == "ValueError"
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("chunk,pause", [(1 << 16, 0.0), (1 << 10, 0.01)])
+def test_a_client_sending_past_the_drain_bound_is_cut_off(
+        front, monkeypatch, chunk, pause):
+    """A fast sender meets the byte bound, a slow one the time bound:
+    either way the handler closes soon after, the answer already sent."""
+    monkeypatch.setattr(front_mod, "_DRAIN_S", 0.5)
+    monkeypatch.setattr(front_mod, "_DRAIN_BYTES", 1 << 20)
+    served, _ = front
+    conn = _Raw(served.address)
+    stop = threading.Event()
+
+    def keep_sending():
+        try:
+            while not stop.is_set():
+                conn.sock.sendall(b" " * chunk)
+                time.sleep(pause)
+        except OSError:     # the front closed the connection
+            pass
+
+    sender = threading.Thread(target=keep_sending, daemon=True)
+    try:
+        conn.send(_request("POST", "/jobs", headers=[
+            ("Content-Length", str(1 << 30))]))
+        start = time.monotonic()
+        sender.start()
+        _assert_typed_4xx(conn.response())
+        sender.join(timeout=10)
+        assert not sender.is_alive(), "the front kept reading"
+        assert time.monotonic() - start < 0.5 + 2.0
+    finally:
+        stop.set()
         conn.close()
 
 
